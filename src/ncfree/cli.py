@@ -354,9 +354,8 @@ def suite_oracles(args) -> Report:
 
 def suite_haar(args) -> Report:
     rep = Report()
-    nmax = min(args.n, 6)
-    alphas = determining_sequence_from_moments(lambda w: 1, nmax)
-    for n in range(1, nmax + 1):
+    alphas = determining_sequence_from_moments(lambda w: 1, args.n)
+    for n in range(1, args.n + 1):
         expected = (-1) ** (n - 1) * catalan(n - 1)
         rep.exact("haar-alpha", "n=%d" % n, alphas[n - 1], expected)
     return rep

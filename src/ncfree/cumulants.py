@@ -7,6 +7,16 @@ the Haar unitary, the standard semicircular element, a general alternating
 determining sequence and a raw table hook.  Letters of a word are pairs
 (alphabet index, starred?); mixed indices inside a block kill the block, so
 freeness is built in.
+
+Moments of one-index words are not enumerated.  Any such word of the
+semicircle, and the alternating words c c* c c* ... (either start) of the
+R-diagonal presets (circular, haar, rdiag), take exact closed recursions:
+the free cumulants of c c* are the NC(n) sums of prod_V alpha_|V| (Nica and
+Speicher, Lectures on the Combinatorics of Free Probability, lecture 15), and
+a one-variable NC sum follows the first-block recursion
+m_n = sum_s kappa_s [z^(n-s)] M(z)^s.  Odd alternating words give 0.  Words
+with mixed indices, R-diagonal words whose stars do not alternate and the
+star_table hook are summed over NC(n), which is the only capped step.
 """
 
 from __future__ import annotations
@@ -164,28 +174,85 @@ def rdiag_block_weight(spec: CumulantSpec, p: Partition):
 
 
 def moment_from_cumulants(spec: CumulantSpec, word: Sequence[Letter], cap: int = 14):
-    """Mixed moment as the cumulant sum over all non-crossing partitions."""
+    """Mixed moment: the cumulant sum over all non-crossing partitions.
+
+    One-index words of the semicircle, and alternating one-index words of
+    the R-diagonal presets, are summed by closed recursion with no size
+    limit.  Every other word (mixed indices, non-alternating stars, the
+    star_table hook) enumerates NC(n), and `cap` bounds that enumeration.
+    """
     word = tuple(word)
+    value = _one_index_moment(spec, word)
+    if value is not None:
+        return value
     total = 0
     for p in enumerate_nc(len(word), cap=cap):
         total += kappa_pi(spec, p, word)
     return total
 
 
+def _one_index_moment(spec: CumulantSpec, word: tuple):
+    """The NC sum of `word` by recursion, or None when it must be enumerated."""
+    if spec.kind == "star_table" or len({idx for idx, _ in word}) != 1:
+        return None
+    n = len(word)
+    if spec.kind == "semicircle":  # its block values ignore the stars
+        return _free_moments((0, 1), n)[n]
+    stars = [star for _, star in word]
+    if any(x == y for x, y in zip(stars, stars[1:])):
+        return None
+    if n % 2:  # every partition has an odd block
+        return 0
+    return _rdiag_moment(spec.determining(n // 2), n // 2)
+
+
+def _free_moments(kappas: Sequence, n: int) -> list:
+    """Moments m_0..m_n of one variable with free cumulants kappas[s-1] = kappa_s.
+
+    m_k = sum_s kappa_s [z^(k-s)] M(z)^s with M(z) = sum_j m_j z^j, where
+    powers[s][j] = [z^j] M(z)^s needs only moments found before m_k, so the
+    pass is triangular and O(n^3).  Zero factors are skipped: a sum without
+    a nonzero term stays the int 0, as the NC sum it replaces does.
+    """
+    moments = [1]
+    powers = [[1] + [0] * n]
+    for k in range(1, n + 1):
+        powers.append([])
+        total = 0
+        for s in range(1, k + 1):
+            j = k - s
+            lower = powers[s - 1]
+            coeff = sum(moments[i] * lower[j - i] for i in range(j + 1)
+                        if moments[i] and lower[j - i])
+            powers[s].append(coeff)
+            if coeff and s <= len(kappas) and kappas[s - 1]:
+                total += kappas[s - 1] * coeff
+        moments.append(total)
+    return moments
+
+
+def _rdiag_moment(alphas: Sequence, n: int):
+    """phi((c c*)^n) of an R-diagonal c with determining sequence alphas.
+
+    The free cumulants of c c* are the moments of a variable whose free
+    cumulants are the alphas; the moments of c c* follow from them.
+    """
+    return _free_moments(_free_moments(alphas, n)[1:], n)[n]
+
+
 def determining_sequence_from_moments(moments: Callable, nmax: int,
                                       seed: Iterable = ()) -> tuple:
     """Recover alpha_1..alpha_nmax from alternating moments of lengths 2..2nmax.
 
-    The conversion is triangular: the full-block term of the length-2n sum
-    is alpha_n itself, every other term only involves shorter alphas.
-    `seed` may carry already-known leading values to resume the recursion.
+    The conversion is triangular: alpha_n enters the length-2n moment only
+    through its full-block term, with coefficient 1, so it is the moment
+    minus the recursion value with alpha_n = 0.
+    `seed` may carry already-known leading values to resume the pass.
     """
     alphas = list(seed)
     for n in range(len(alphas) + 1, nmax + 1):
-        word = alternating_word(2 * n)
-        partial_spec = CumulantSpec.r_diagonal(alphas + [0])
-        lower = moment_from_cumulants(partial_spec, word)
-        alphas.append(moments(word) - lower)
+        lower = _rdiag_moment(alphas + [0], n)
+        alphas.append(moments(alternating_word(2 * n)) - lower)
     return tuple(alphas)
 
 
@@ -200,7 +267,11 @@ def cumulant_domination_bound(p: Partition, m2, mN):
 
 
 def c_moment_2m(spec: CumulantSpec, m: int, cap: int = 14):
-    """Moment of (c c*)^m (plain c^{2m} for the self-adjoint preset)."""
+    """Moment of (c c*)^m (plain c^{2m} for the self-adjoint preset).
+
+    Every preset takes the closed recursion, at any m; `cap` bounds only the
+    NC(2m) sum of a star_table spec.
+    """
     if spec.kind == "semicircle":
         word = plain_word(2 * m)
     else:

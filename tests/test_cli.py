@@ -59,6 +59,16 @@ def test_verify_exact_suites(suite, capsys):
     assert rows and all(row["passed"] == "1" for row in rows)
 
 
+def test_verify_haar_checks_every_requested_alpha(capsys):
+    import csv
+    import io
+
+    code, out, err = run(capsys, "verify", "--suite", "haar", "--n", "10")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 10 and all(row["passed"] == "1" for row in rows)
+
+
 def test_verify_numeric_suites(capsys):
     for suite in ("identifications", "cauchy-schwarz", "main-inequality", "nonholo"):
         code, out, err = run(capsys, "verify", "--suite", suite, "--d", "2",

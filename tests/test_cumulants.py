@@ -1,5 +1,8 @@
+import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ncfree.partitions import discrete, enumerate_nc, full, parse_partition
@@ -13,6 +16,7 @@ from ncfree.families import (
     is_ncstar,
     is_pairing,
 )
+from ncfree.matrices import holo_rhs_bound, ml_norms, random_family
 from ncfree.cumulants import (
     CumulantSpec,
     alternating_word,
@@ -243,3 +247,73 @@ def test_discrete_partition_kappa():
     for spec in (CumulantSpec.circular(), CumulantSpec.haar_unitary(),
                  CumulantSpec.semicircular()):
         assert kappa_pi(spec, discrete(2), alternating_word(2)) == 0
+
+
+def _nc_sum(spec, word, members=None):
+    total = 0
+    for p in members if members is not None else enumerate_nc(len(word)):
+        total += kappa_pi(spec, p, word)
+    return total
+
+
+def _same(fast, brute):
+    assert type(fast) is type(brute), (fast, brute)
+    if isinstance(brute, float):
+        assert math.isclose(fast, brute, rel_tol=1e-12, abs_tol=1e-12)
+    else:
+        assert fast == brute
+
+
+def test_recursion_matches_nc_sum():
+    # the closed recursions against the brute NC(n) sum of kappa_pi, value
+    # and type, for random int, Fraction and float determining sequences
+    rng = random.Random(5)
+    specs = [
+        CumulantSpec.r_diagonal([rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(6)]),
+        CumulantSpec.r_diagonal([Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+                                 for _ in range(6)]),
+        CumulantSpec.r_diagonal([rng.uniform(-2, 2) for _ in range(6)]),
+    ]
+    semi = CumulantSpec.semicircular()
+    for n in range(1, 13):
+        members = list(enumerate_nc(n))
+        from_c = alternating_word(n)
+        from_star = tuple((idx, not star) for idx, star in from_c)
+        cases = [(spec, word) for spec in specs for word in (from_c, from_star)]
+        # the semicircle's block values ignore the stars
+        cases += [(semi, plain_word(n)), (semi, from_c)]
+        for spec, word in cases:
+            _same(moment_from_cumulants(spec, word), _nc_sum(spec, word, members))
+
+
+def test_nc_sum_kept_for_mixed_and_non_alternating_words():
+    haar = CumulantSpec.haar_unitary()
+    circ = CumulantSpec.circular()
+    mixed = ((1, False), (2, True), (2, False), (1, True), (1, False), (2, True))
+    non_alternating = ((1, False), (1, False), (1, True), (1, True))
+    for spec in (haar, circ, CumulantSpec.r_diagonal((2, -1, 3))):
+        for word in (mixed, non_alternating):
+            assert moment_from_cumulants(spec, word) == _nc_sum(spec, word)
+    assert moment_from_cumulants(haar, non_alternating) == 1
+    with pytest.raises(ValueError):
+        moment_from_cumulants(circ, tuple((1 + i % 2, i % 4 < 2) for i in range(16)))
+    with pytest.raises(ValueError):
+        moment_from_cumulants(haar, plain_word(16))
+
+
+def test_scalar_quantities_past_the_enumeration_cap():
+    haar = CumulantSpec.haar_unitary()
+    values = haar.determining(30)
+    assert values == tuple((-1) ** (n - 1) * catalan(n - 1) for n in range(1, 31))
+    assert all(type(v) is int for v in values)
+    circ = CumulantSpec.circular()
+    semi = CumulantSpec.semicircular()
+    for m in range(1, 21):
+        assert c_moment_2m(circ, m) == catalan(m)
+        assert c_moment_2m(semi, m) == catalan(m)
+        assert c_moment_2m(haar, m) == 1
+    # ||c||_2 = ||c||_16 = 1 for a unitary, so only the constant remains
+    a = random_family(1, 2, 2, np.random.default_rng(31))
+    ell2 = math.sqrt(sum(x * x for x in ml_norms(a, 8)))
+    expected = 4 ** 5 * math.e * math.sqrt(1 + 1 / 8) * ell2
+    assert math.isclose(holo_rhs_bound(a, haar, 8), expected, rel_tol=1e-12)
