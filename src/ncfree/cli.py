@@ -433,7 +433,7 @@ def cmd_verify(args) -> int:
         return 2
     try:
         report = SUITES[args.suite](args)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print("verify: %s" % exc, file=sys.stderr)
         return 2
     if args.out:

@@ -7,7 +7,10 @@ traces of matrix powers.  The central quantity is the trace sum of a
 partition: one free index per block, and the 2m groups of d positions
 contribute alternately the family and the conjugate-transpose of the
 index-reversed family.  The sums are evaluated as tensor contractions, one
-einsum per partition.
+einsum per partition; for star families the block phases join the letters
+in a doubled alphabet of size 2r, so they too take one einsum per partition.
+Every moment is one weighted sum (`_weighted_sum`) of such trace sums over a
+partition family.
 """
 
 from __future__ import annotations
@@ -216,23 +219,28 @@ def _tilde_star_tensor(t: np.ndarray, d: int) -> np.ndarray:
     return t.transpose(perm).conj()
 
 
+def _contract(p: Partition, d: int, m: int, tensor_of) -> complex:
+    """One einsum over the block indices of p: group j (positions jd+1..jd+d)
+    contributes tensor_of(j), subscripted by the blocks of its positions and
+    by two matrix indices that chain the 2m groups into one trace."""
+    nb = p.num_blocks
+    operands = []
+    for j in range(2 * m):
+        subs = [p.block_id(j * d + o + 1) for o in range(d)]
+        subs += [nb + j, nb + (j + 1) % (2 * m)]
+        operands.extend([tensor_of(j), subs])
+    return complex(np.einsum(*operands, [], optimize=True))
+
+
 def trace_sum_complex(a: CoefficientFamily, p: Partition, cap: int = ASSIGNMENT_CAP) -> complex:
     """Trace sum of a partition: one alphabet value per block, groups of d
     positions contributing a, then the conjugate-transposed reversed family,
     alternately around the trace."""
     g = _grid_of(a, p)
     _check_assignment_cap(a, p, cap)
-    d, m = g.d, g.m
     odd_t = a.dense()
-    even_t = _tilde_star_tensor(odd_t, d)
-    nb = p.num_blocks
-    operands = []
-    for j in range(2 * m):
-        tensor = odd_t if j % 2 == 0 else even_t
-        subs = [p.block_id(j * d + o + 1) for o in range(d)]
-        subs += [nb + j, nb + (j + 1) % (2 * m)]
-        operands.extend([tensor, subs])
-    return complex(np.einsum(*operands, [], optimize=True))
+    even_t = _tilde_star_tensor(odd_t, g.d)
+    return _contract(p, g.d, g.m, lambda j: even_t if j % 2 else odd_t)
 
 
 def trace_sum(a: CoefficientFamily, p: Partition, cap: int = ASSIGNMENT_CAP) -> float:
@@ -245,38 +253,44 @@ def trace_sum_star_complex(a: StarCoefficientFamily, p: Partition,
                            cap: int = ASSIGNMENT_CAP) -> complex:
     """Star variant: blocks additionally carry one of two alternating star
     phases, and even groups contribute the conjugate-transposed family with
-    indices reversed and stars conjugated."""
+    indices reversed and stars conjugated.
+
+    Each block gets one index (letter k, phase e) over the doubled alphabet
+    of size 2r, so the sum over letters and phases is a single contraction.
+    The position of rank q in its block (counted from 0 in position order)
+    carries the star bit e XOR (q mod 2): a group's tensor has the star axes
+    of its odd-rank positions flipped, and each (index, star) axis pair merged
+    into one axis k * 2 + e.  At most 2 * 2^d such tensors are built per call.
+    """
     g = _grid_of(a, p)
     if any(len(b) % 2 for b in p.blocks):
         raise ValueError("star trace sums need even blocks")
     if (2 * a.r) ** p.num_blocks > cap:
         raise ValueError("assignment count exceeds cap %d" % cap)
-    d, m = g.d, g.m
+    d = g.d
     t = a.dense()
-    odd_t = t
     # [k, e, i, j] = conj(t[rev k, rev(1-e), j, i])
     perm = tuple(range(d - 1, -1, -1)) + tuple(range(2 * d - 1, d - 1, -1)) + (2 * d + 1, 2 * d)
     even_t = np.flip(t.transpose(perm), axis=tuple(range(d, 2 * d))).conj()
-
-    nb = p.num_blocks
-    rank = {}
+    # (k_1..k_d, e_1..e_d, i, j) -> (k_1, e_1, .., k_d, e_d, i, j)
+    interleave = tuple(x for o in range(d) for x in (o, d + o)) + (2 * d, 2 * d + 1)
+    shape = (2 * a.r,) * d + (a.alpha, a.alpha)
+    odd_rank = [0] * p.n
     for b in p.blocks:
-        for pos_rank, pos in enumerate(b):
-            rank[pos] = pos_rank
+        for pos in b[1::2]:
+            odd_rank[pos - 1] = 1
 
-    total = 0j
-    for phases in product((0, 1), repeat=nb):
-        operands = []
-        for j in range(2 * m):
-            tensor = odd_t if j % 2 == 0 else even_t
-            positions = [j * d + o + 1 for o in range(d)]
-            bits = tuple(phases[p.block_id(pos)] ^ (rank[pos] % 2) for pos in positions)
-            sliced = tensor[(slice(None),) * d + bits]
-            subs = [p.block_id(pos) for pos in positions]
-            subs += [nb + j, nb + (j + 1) % (2 * m)]
-            operands.extend([sliced, subs])
-        total += complex(np.einsum(*operands, [], optimize=True))
-    return total
+    doubled = {}
+
+    def tensor_of(j: int) -> np.ndarray:
+        flips = tuple(d + o for o in range(d) if odd_rank[j * d + o])
+        key = (j % 2, flips)
+        if key not in doubled:
+            base = np.flip(even_t if j % 2 else t, axis=flips)
+            doubled[key] = base.transpose(interleave).reshape(shape)
+        return doubled[key]
+
+    return _contract(p, d, g.m, tensor_of)
 
 
 def trace_sum_star(a: StarCoefficientFamily, p: Partition, cap: int = ASSIGNMENT_CAP) -> float:
@@ -304,14 +318,21 @@ def _real_part(total: complex, what: str) -> float:
     return total.real
 
 
+def _weighted_sum(members, weight_of, trace_of) -> complex:
+    """Sum of weight_of(p) * trace_of(p) over the members of nonzero weight."""
+    total = 0j
+    for p in members:
+        weight = weight_of(p)
+        if weight:
+            total += weight * trace_of(p)
+    return total
+
+
 def holo_moment(a: CoefficientFamily, spec: CumulantSpec, m: int) -> float:
     """The 2m-th moment power: cumulant-weighted trace sums over the star family."""
     word = holo_word(a.d, m)
-    total = 0j
-    for p in _star_members(a.d, m):
-        weight = kappa_pi(spec, p, word)
-        if weight:
-            total += weight * trace_sum_complex(a, p)
+    total = _weighted_sum(_star_members(a.d, m), lambda p: kappa_pi(spec, p, word),
+                          lambda p: trace_sum_complex(a, p))
     value = _real_part(total, "moment sum")
     if value < -ABS_TOL * max(1.0, a.frobenius_sq() ** m):
         raise ArithmeticError("norm power is negative: %g" % value)
@@ -325,7 +346,7 @@ def holo_norm_2m(a: CoefficientFamily, spec: CumulantSpec, m: int) -> float:
 
 def ml_norms(a, m: int = None) -> list:
     """All d+1 block-matrix norms; Schatten 2m for integer m, operator norm
-    (power iteration) when m is None."""
+    (dense SVD) when m is None."""
     build = build_Ml_star if isinstance(a, StarCoefficientFamily) else build_Ml
     mats = [build(a, l) for l in range(a.d + 1)]
     if m is None:
@@ -371,21 +392,15 @@ def nonholo_moment(a, spec: CumulantSpec, m: int) -> float:
     on reduced words.
     """
     if isinstance(a, StarCoefficientFamily):
-        total = 0j
-        for p in _interval_members(a.d, m):
-            weight = rdiag_block_weight(spec, p)
-            if weight:
-                total += weight * trace_sum_star_complex(a, p)
+        total = _weighted_sum(_interval_members(a.d, m), lambda p: rdiag_block_weight(spec, p),
+                              lambda p: trace_sum_star_complex(a, p))
     else:
         if spec.kind not in ("semicircle", "star_table"):
             raise ValueError("plain families pair with self-adjoint presets")
         _check_adjacent_support(a)
         word = plain_word(2 * a.d * m)
-        total = 0j
-        for p in _interval_members(a.d, m):
-            weight = kappa_pi(spec, p, word)
-            if weight:
-                total += weight * trace_sum_complex(a, p)
+        total = _weighted_sum(_interval_members(a.d, m), lambda p: kappa_pi(spec, p, word),
+                              lambda p: trace_sum_complex(a, p))
     value = _real_part(total, "moment sum")
     return max(value, 0.0)
 
@@ -403,7 +418,8 @@ def nonholo_rhs_bound(a, spec: CumulantSpec, m: int = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# operator norms by power iteration
+# operator norms: exact for block matrices, power iteration for the Fock
+# lower bound in oracles.fock_norm_estimate
 
 
 def power_iteration_norm(apply, apply_adjoint, dim: int, tol: float = 1e-10,
@@ -432,10 +448,11 @@ def power_iteration_norm(apply, apply_adjoint, dim: int, tol: float = 1e-10,
 
 
 def operator_norm(M, tol: float = 1e-10, max_iter: int = 20000, seed: int = 7) -> float:
-    mat = _matrix_of(M)
-    return power_iteration_norm(
-        lambda v: mat @ v, lambda w: mat.conj().T @ w, mat.shape[1],
-        tol=tol, max_iter=max_iter, seed=seed)
+    """Largest singular value, computed exactly by a dense SVD.
+
+    tol, max_iter and seed are accepted for compatibility and ignored.
+    """
+    return float(np.linalg.norm(_matrix_of(M), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -546,38 +563,64 @@ def save_family(a, path: str) -> None:
             fh.write("%s %s\n" % (head, cells))
 
 
+def _parse_record(toks: list, d: int, r: int, alpha: int, star: bool):
+    """(support key, matrix) of one support-point record, split into tokens."""
+    width = d + (1 if star else 0) + alpha * alpha
+    if len(toks) != width:
+        raise ValueError("expected %d tokens, got %d" % (width, len(toks)))
+    idx = tuple(int(t) for t in toks[:d])
+    if not all(1 <= k <= r for k in idx):
+        raise ValueError("index tuple %r outside 1..%d" % (idx, r))
+    key = idx
+    if star:
+        pattern = toks[d]
+        if len(pattern) != d or any(ch not in "1*" for ch in pattern):
+            raise ValueError("bad star pattern %r" % pattern)
+        key = (idx, tuple(ch == "*" for ch in pattern))
+        if not _in_reduced_support(*key):
+            raise ValueError("support point %r violates the reduced-word condition" % (key,))
+    values = []
+    for cell in toks[width - alpha * alpha:]:
+        parts = cell.split(",")
+        if len(parts) != 2:
+            raise ValueError("cell %r is not re,im" % cell)
+        z = complex(float(parts[0]), float(parts[1]))
+        if not cmath.isfinite(z):
+            raise ValueError("cell %r is not finite" % cell)
+        values.append(z)
+    return key, np.array(values, dtype=complex).reshape(alpha, alpha)
+
+
 def load_family(path: str):
+    """Read the text format of save_family.
+
+    Raises ValueError, naming the line, on a malformed header or record, a
+    non-finite cell or a repeated support point.
+    """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1)
+                 if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty family file %s" % path)
-    head = lines[0].split()
+    head_no, head_line = lines[0]
+    head = head_line.split()
     star = len(head) == 4 and head[3] == "star"
-    if len(head) not in (3, 4) or (len(head) == 4 and not star):
-        raise ValueError("bad header %r" % lines[0])
-    d, r, alpha = int(head[0]), int(head[1]), int(head[2])
+    sizes = head[:3]
+    if len(head) not in (3, 4) or (len(head) == 4 and not star) or not all(
+            t.isdigit() and int(t) >= 1 for t in sizes):
+        raise ValueError("%s line %d: bad header %r" % (path, head_no, head_line))
+    d, r, alpha = (int(t) for t in sizes)
     entries = {}
-    for line in lines[1:]:
-        toks = line.split()
-        idx = tuple(int(t) for t in toks[:d])
-        pos = d
-        if star:
-            pattern = toks[pos]
-            if len(pattern) != d or any(ch not in "1*" for ch in pattern):
-                raise ValueError("bad star pattern %r" % pattern)
-            stars = tuple(ch == "*" for ch in pattern)
-            pos += 1
-        cells = toks[pos:]
-        if len(cells) != alpha * alpha:
-            raise ValueError("expected %d matrix cells, got %d" % (alpha * alpha, len(cells)))
-        values = []
-        for cell in cells:
-            re, im = cell.split(",")
-            values.append(complex(float(re), float(im)))
-        mat = np.array(values, dtype=complex).reshape(alpha, alpha)
-        if star:
-            entries[(idx, stars)] = mat
-        else:
-            entries[idx] = mat
+    first_seen = {}
+    for no, line in lines[1:]:
+        try:
+            key, mat = _parse_record(line.split(), d, r, alpha, star)
+        except ValueError as exc:
+            raise ValueError("%s line %d: %s" % (path, no, exc)) from None
+        if key in entries:
+            raise ValueError("%s line %d: support point repeats line %d"
+                             % (path, no, first_seen[key]))
+        entries[key] = mat
+        first_seen[key] = no
     cls = StarCoefficientFamily if star else CoefficientFamily
     return cls(d, r, alpha, entries)

@@ -19,6 +19,7 @@ from .cumulants import CumulantSpec, holo_word, kappa_pi, plain_word
 from .matrices import (
     CoefficientFamily,
     _check_adjacent_support,
+    _weighted_sum,
     power_iteration_norm,
     trace_sum_complex,
 )
@@ -244,9 +245,6 @@ def brute_moment(spec: CumulantSpec, a: CoefficientFamily, m: int) -> float:
         word = plain_word(n)
     else:
         word = holo_word(a.d, m)
-    total = 0j
-    for p in enumerate_nc(n):
-        weight = kappa_pi(spec, p, word)
-        if weight:
-            total += weight * trace_sum_complex(a, p)
+    total = _weighted_sum(enumerate_nc(n), lambda p: kappa_pi(spec, p, word),
+                          lambda p: trace_sum_complex(a, p))
     return total.real

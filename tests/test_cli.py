@@ -158,3 +158,33 @@ def test_config_file_defaults(tmp_path, capsys):
     code, out, err = run(capsys, "--config", str(cfg), "verify", "--suite", "martingale",
                          "--m", "2")
     assert "m=3" not in out
+
+
+def test_norm_rejects_nan_cell(tmp_path, capsys):
+    path = tmp_path / "nan.txt"
+    path.write_text("1 1 1\n1 nan,0\n")
+    code, out, err = run(capsys, "norm", "--family-file", str(path), "--spec", "circular",
+                         "--m", "1")
+    assert code == 2 and out == ""
+    assert "line 2" in err and "finite" in err
+
+
+def test_norm_rejects_duplicate_support_point(tmp_path, capsys):
+    path = tmp_path / "dup.txt"
+    path.write_text("1 1 1\n1 1,0\n1 5,0\n")
+    code, out, err = run(capsys, "norm", "--family-file", str(path), "--spec", "circular",
+                         "--m", "1")
+    assert code == 2 and out == ""
+    assert "line 3" in err and "line 2" in err
+
+
+def test_verify_arithmetic_error_exits_2(monkeypatch, capsys):
+    from ncfree import cli
+
+    def broken(args):
+        raise ArithmeticError("moment sum has imaginary residual 1")
+
+    monkeypatch.setitem(cli.SUITES, "nonholo", broken)
+    code, out, err = run(capsys, "verify", "--suite", "nonholo")
+    assert code == 2 and out == ""
+    assert err.startswith("verify: ") and "imaginary residual" in err

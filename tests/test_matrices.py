@@ -1,5 +1,5 @@
 import math
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -54,6 +54,31 @@ def trace_sum_by_assignments(a, p):
                 factor = t[idx[::-1]].conj().T
             mat = mat @ factor
         total += np.trace(mat)
+    return total
+
+
+def trace_sum_star_by_assignments(a, p):
+    """Independent evaluation: loop over one letter and one phase per block;
+    the position of rank q in its block carries star bit phase XOR (q mod 2)."""
+    d = a.d
+    m = p.n // (2 * d)
+    t = a.dense()
+    rank = {pos: q for b in p.blocks for q, pos in enumerate(b)}
+    total = 0j
+    for values in product(range(a.r), repeat=p.num_blocks):
+        for phases in product((0, 1), repeat=p.num_blocks):
+            mat = np.eye(a.alpha, dtype=complex)
+            for j in range(2 * m):
+                positions = [j * d + o + 1 for o in range(d)]
+                idx = tuple(values[p.block_id(pos)] for pos in positions)
+                stars = tuple(phases[p.block_id(pos)] ^ (rank[pos] % 2) for pos in positions)
+                if j % 2 == 0:
+                    factor = t[idx + stars]
+                else:
+                    flipped = tuple(1 - s for s in stars[::-1])
+                    factor = t[idx[::-1] + flipped].conj().T
+                mat = mat @ factor
+            total += np.trace(mat)
     return total
 
 
@@ -354,6 +379,22 @@ def test_star_cauchy_schwarz(d, m):
             assert lhs <= math.sqrt(max(left, 0) * max(right, 0)) * (1 + 1e-9) + 1e-9
 
 
+@pytest.mark.parametrize("d,m", [(1, 2), (1, 3), (2, 2), (3, 1)])
+def test_star_trace_sum_matches_assignment_loop(d, m):
+    g = GridShape(d, m)
+    members = [p for p in enumerate_ncdm(g) if all(len(b) % 2 == 0 for b in p.blocks)]
+    star_even = (p for p in enumerate_ncstar(g) if all(len(b) % 2 == 0 for b in p.blocks))
+    members += list(islice(star_even, 100))
+    rng = np.random.default_rng(40 + 10 * d + m)
+    for r in (1, 2, 3):
+        for alpha in (1, 2):
+            a = random_star_family(d, r, alpha, rng)
+            for p in members:
+                fast = trace_sum_star_complex(a, p)
+                slow = trace_sum_star_by_assignments(a, p)
+                assert abs(fast - slow) <= 1e-10 * max(1.0, abs(slow)), (r, alpha, p)
+
+
 def test_star_odd_blocks_rejected():
     rng = np.random.default_rng(20)
     a = random_star_family(1, 2, 1, rng)
@@ -445,6 +486,19 @@ def test_power_iteration_against_svd():
         assert math.isclose(operator_norm(M), exact, rel_tol=1e-8)
 
 
+def test_operator_norm_is_largest_singular_value():
+    rng = np.random.default_rng(28)
+    for shape in [(1, 1), (3, 3), (4, 6), (6, 2), (16, 8)]:
+        M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        exact = float(np.linalg.svd(M, compute_uv=False)[0])
+        assert math.isclose(operator_norm(M), exact, rel_tol=1e-12)
+    a = random_family(3, 2, 2, rng)
+    for l in range(4):
+        M = build_Ml(a, l)
+        exact = float(np.linalg.svd(M.matrix, compute_uv=False)[0])
+        assert math.isclose(operator_norm(M), exact, rel_tol=1e-12)
+
+
 def test_roundtrip_family_file(tmp_path):
     rng = np.random.default_rng(25)
     a = random_family(2, 2, 2, rng)
@@ -476,6 +530,24 @@ def test_load_family_errors(tmp_path):
         load_family(str(path))
     path.write_text("1 1 1\n1 0.5\n")
     with pytest.raises(ValueError):
+        load_family(str(path))
+
+
+@pytest.mark.parametrize("text,line", [
+    ("1 2 1\n1 1,0\n2 nan,0\n", 3),
+    ("1 2 1\n1 1,0\n# note\n2 0,inf\n", 4),
+    ("1 2 1\n1 1,0\n1 5,0\n", 3),
+    ("1 2 1\n1 1,0 2,0\n", 2),
+    ("2 2 1\n1 1,0\n", 2),
+    ("1 2 1 star\n1 1,0\n", 2),
+    ("1 2 1 star\n1 * 1,0\n1 * 2,0\n", 3),
+    ("2 2 1 star\n1 2 1* 1,0\n1 1 1* 1,0\n", 3),
+    ("1 0 1\n", 1),
+])
+def test_load_family_rejects_bad_records(tmp_path, text, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="line %d:" % line):
         load_family(str(path))
 
 
