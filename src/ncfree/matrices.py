@@ -447,11 +447,8 @@ def power_iteration_norm(apply, apply_adjoint, dim: int, tol: float = 1e-10,
     return estimate
 
 
-def operator_norm(M, tol: float = 1e-10, max_iter: int = 20000, seed: int = 7) -> float:
-    """Largest singular value, computed exactly by a dense SVD.
-
-    tol, max_iter and seed are accepted for compatibility and ignored.
-    """
+def operator_norm(M) -> float:
+    """Largest singular value, computed exactly by a dense SVD."""
     return float(np.linalg.norm(_matrix_of(M), 2))
 
 
@@ -563,22 +560,17 @@ def save_family(a, path: str) -> None:
             fh.write("%s %s\n" % (head, cells))
 
 
-def _parse_record(toks: list, d: int, r: int, alpha: int, star: bool):
+def _parse_record(toks: list, d: int, alpha: int, star: bool):
     """(support key, matrix) of one support-point record, split into tokens."""
     width = d + (1 if star else 0) + alpha * alpha
     if len(toks) != width:
         raise ValueError("expected %d tokens, got %d" % (width, len(toks)))
-    idx = tuple(int(t) for t in toks[:d])
-    if not all(1 <= k <= r for k in idx):
-        raise ValueError("index tuple %r outside 1..%d" % (idx, r))
-    key = idx
+    key = tuple(int(t) for t in toks[:d])
     if star:
         pattern = toks[d]
-        if len(pattern) != d or any(ch not in "1*" for ch in pattern):
+        if any(ch not in "1*" for ch in pattern):
             raise ValueError("bad star pattern %r" % pattern)
-        key = (idx, tuple(ch == "*" for ch in pattern))
-        if not _in_reduced_support(*key):
-            raise ValueError("support point %r violates the reduced-word condition" % (key,))
+        key = (key, tuple(ch == "*" for ch in pattern))
     values = []
     for cell in toks[width - alpha * alpha:]:
         parts = cell.split(",")
@@ -595,7 +587,9 @@ def load_family(path: str):
     """Read the text format of save_family.
 
     Raises ValueError, naming the line, on a malformed header or record, a
-    non-finite cell or a repeated support point.
+    non-finite cell or a repeated support point. Each record is checked by
+    the family constructor on its own, so range and reduced-word errors name
+    their line too.
     """
     with open(path) as fh:
         lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1)
@@ -604,17 +598,21 @@ def load_family(path: str):
         raise ValueError("empty family file %s" % path)
     head_no, head_line = lines[0]
     head = head_line.split()
-    star = len(head) == 4 and head[3] == "star"
-    sizes = head[:3]
-    if len(head) not in (3, 4) or (len(head) == 4 and not star) or not all(
-            t.isdigit() and int(t) >= 1 for t in sizes):
-        raise ValueError("%s line %d: bad header %r" % (path, head_no, head_line))
-    d, r, alpha = (int(t) for t in sizes)
+    star = head[3:] == ["star"]
+    cls = StarCoefficientFamily if star else CoefficientFamily
+    try:
+        if len(head) != (4 if star else 3):
+            raise ValueError("bad header %r" % head_line)
+        d, r, alpha = (int(t) for t in head[:3])
+        cls(d, r, alpha, {})
+    except ValueError as exc:
+        raise ValueError("%s line %d: %s" % (path, head_no, exc)) from None
     entries = {}
     first_seen = {}
     for no, line in lines[1:]:
         try:
-            key, mat = _parse_record(line.split(), d, r, alpha, star)
+            key, mat = _parse_record(line.split(), d, alpha, star)
+            cls(d, r, alpha, {key: mat})
         except ValueError as exc:
             raise ValueError("%s line %d: %s" % (path, no, exc)) from None
         if key in entries:
@@ -622,5 +620,4 @@ def load_family(path: str):
                              % (path, no, first_seen[key]))
         entries[key] = mat
         first_seen[key] = no
-    cls = StarCoefficientFamily if star else CoefficientFamily
     return cls(d, r, alpha, entries)

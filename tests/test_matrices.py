@@ -23,6 +23,7 @@ from ncfree.matrices import (
     nonholo_norm_2m,
     nonholo_rhs_bound,
     operator_norm,
+    power_iteration_norm,
     prime_family,
     prime_family_gram,
     random_adjacent_distinct_family,
@@ -484,6 +485,15 @@ def test_power_iteration_against_svd():
         M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         exact = float(np.linalg.svd(M, compute_uv=False)[0])
         assert math.isclose(operator_norm(M), exact, rel_tol=1e-8)
+
+
+def test_power_iteration_norm_against_svd():
+    rng = np.random.default_rng(24)
+    for shape in [(3, 3), (4, 6), (6, 2)]:
+        M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        exact = float(np.linalg.svd(M, compute_uv=False)[0])
+        estimate = power_iteration_norm(lambda v: M @ v, lambda w: M.conj().T @ w, M.shape[1])
+        assert math.isclose(estimate, exact, rel_tol=1e-8)
 
 
 def test_operator_norm_is_largest_singular_value():
