@@ -380,32 +380,36 @@ SUITES = {
 # commands
 
 
-def cmd_enumerate(args) -> int:
-    closed_form = None
+def _family_stream(args):
+    """The requested family's iterator and its closed-form count (None if none).
+
+    Raises ValueError on bad sizes, including a size past the family's cap,
+    before anything is enumerated.
+    """
     if args.family == "nc":
         if args.n is None or args.n < 1:
-            print("enumerate: --n must be a positive integer", file=sys.stderr)
-            return 2
-        stream = enumerate_nc(args.n)
-        closed_form = catalan(args.n)
-    else:
-        if args.d is None or args.m is None or args.d < 1 or args.m < 1:
-            print("enumerate: --d and --m must be positive integers", file=sys.stderr)
-            return 2
-        g = GridShape(args.d, args.m)
-        if args.family == "ncstar":
-            stream = enumerate_ncstar(g)
-        elif args.family == "ncstar2":
-            stream = enumerate_ncstar2(g)
-            closed_form = fuss_catalan(args.d, args.m)
-        elif args.family == "ncdm":
-            stream = enumerate_ncdm(g)
-        elif args.family == "interval-pairings":
-            stream = enumerate_interval_pairings(g)
-            closed_form = chebyshev_pair_count(args.d, args.m)
-        else:
-            print("enumerate: unknown family %r" % args.family, file=sys.stderr)
-            return 2
+            raise ValueError("--n must be a positive integer")
+        return enumerate_nc(args.n), catalan(args.n)
+    if args.d is None or args.m is None or args.d < 1 or args.m < 1:
+        raise ValueError("--d and --m must be positive integers")
+    g = GridShape(args.d, args.m)
+    if args.family == "ncstar":
+        return enumerate_ncstar(g), None
+    if args.family == "ncstar2":
+        return enumerate_ncstar2(g), fuss_catalan(args.d, args.m)
+    if args.family == "ncdm":
+        return enumerate_ncdm(g), None
+    if args.family == "interval-pairings":
+        return enumerate_interval_pairings(g), chebyshev_pair_count(args.d, args.m)
+    raise ValueError("unknown family %r" % args.family)
+
+
+def cmd_enumerate(args) -> int:
+    try:
+        stream, closed_form = _family_stream(args)
+    except ValueError as exc:
+        print("enumerate: %s" % exc, file=sys.stderr)
+        return 2
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
@@ -547,9 +551,17 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             print("config: %s" % exc, file=sys.stderr)
             return 2
-        for sub_action in parser._subparsers._group_actions:
-            for sub_parser in sub_action.choices.values():
-                sub_parser.set_defaults(**overrides)
+        sub_parsers = [sub_parser for sub_action in parser._subparsers._group_actions
+                       for sub_parser in sub_action.choices.values()]
+        options = {action.dest for sub_parser in sub_parsers for action in sub_parser._actions
+                   if action.default is not argparse.SUPPRESS}
+        unknown = sorted(set(overrides) - options)
+        if unknown:
+            print("config: %s: unknown key %s" % (known.config, ", ".join(unknown)),
+                  file=sys.stderr)
+            return 2
+        for sub_parser in sub_parsers:
+            sub_parser.set_defaults(**overrides)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

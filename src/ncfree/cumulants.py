@@ -16,7 +16,8 @@ Speicher, Lectures on the Combinatorics of Free Probability, lecture 15), and
 a one-variable NC sum follows the first-block recursion
 m_n = sum_s kappa_s [z^(n-s)] M(z)^s.  Odd alternating words give 0.  Words
 with mixed indices, R-diagonal words whose stars do not alternate and the
-star_table hook are summed over NC(n), which is the only capped step.
+star_table hook are summed over NC(n), the only capped step (the constant
+partitions.NC_ENUMERATION_CAP).
 """
 
 from __future__ import annotations
@@ -173,20 +174,21 @@ def rdiag_block_weight(spec: CumulantSpec, p: Partition):
     return value
 
 
-def moment_from_cumulants(spec: CumulantSpec, word: Sequence[Letter], cap: int = 14):
+def moment_from_cumulants(spec: CumulantSpec, word: Sequence[Letter]):
     """Mixed moment: the cumulant sum over all non-crossing partitions.
 
     One-index words of the semicircle, and alternating one-index words of
     the R-diagonal presets, are summed by closed recursion with no size
     limit.  Every other word (mixed indices, non-alternating stars, the
-    star_table hook) enumerates NC(n), and `cap` bounds that enumeration.
+    star_table hook) enumerates NC(n), which raises ValueError past
+    NC_ENUMERATION_CAP.
     """
     word = tuple(word)
     value = _one_index_moment(spec, word)
     if value is not None:
         return value
     total = 0
-    for p in enumerate_nc(len(word), cap=cap):
+    for p in enumerate_nc(len(word)):
         total += kappa_pi(spec, p, word)
     return total
 
@@ -266,17 +268,17 @@ def cumulant_domination_bound(p: Partition, m2, mN):
 # scalar norms of the underlying operator
 
 
-def c_moment_2m(spec: CumulantSpec, m: int, cap: int = 14):
+def c_moment_2m(spec: CumulantSpec, m: int):
     """Moment of (c c*)^m (plain c^{2m} for the self-adjoint preset).
 
-    Every preset takes the closed recursion, at any m; `cap` bounds only the
-    NC(2m) sum of a star_table spec.
+    Every preset takes the closed recursion, at any m; only the NC(2m) sum
+    of a star_table spec is bounded, by NC_ENUMERATION_CAP.
     """
     if spec.kind == "semicircle":
         word = plain_word(2 * m)
     else:
         word = alternating_word(2 * m)
-    return moment_from_cumulants(spec, word, cap=cap)
+    return moment_from_cumulants(spec, word)
 
 
 def c_norm_2m(spec: CumulantSpec, m: int) -> float:

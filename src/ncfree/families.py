@@ -5,6 +5,16 @@ label classes of a GridShape) and the interval-avoiding family (even blocks
 never linking two positions of the same size-d interval).  Both come with
 direct enumerators, structure maps onto chains of partitions and pair
 splittings, and exact counting formulas.
+
+The enumerators, pairings included, are predicates on the one non-crossing
+recursion of ncfree.partitions.  In an even-block non-crossing partition
+the elements strictly between two consecutive elements of a block form
+whole blocks, so that gap is even and the step between the two is odd.
+The star predicate implies an odd step already; the interval-avoiding
+predicate requires one, which prunes odd gaps before they are recursed
+into.  A pairing variant differs from its family only in letting a block
+grow from one element alone.  Each enumerator checks its size cap when
+called, before anything is yielded.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 from .partitions import (
     Partition,
     enumerate_nc,
+    enumerate_nc_constrained,
     format_partition,
     is_noncrossing,
     is_refinement,
@@ -97,71 +108,41 @@ def is_pairing(p: Partition) -> bool:
 # ---------------------------------------------------------------------------
 # constrained enumeration
 #
-# The recursion mirrors the plain non-crossing enumerator: pick the block of
-# the smallest element of a contiguous segment, then partition the gaps
-# between its consecutive elements independently.  Constraints are applied
-# while the block grows, so invalid branches die early.
+# Every family keeps a block only at even size; the module docstring gives
+# the odd-step argument behind the interval-avoiding predicate.
 
 
-def _constrained_blocks(segment: tuple, extend_ok, complete_ok) -> Iterator[tuple]:
-    if not segment:
-        yield ()
-        return
-    if len(segment) % 2:
-        return  # every block is even, so any union of blocks is too
-    first = segment[0]
-    rest = segment[1:]
-
-    def rec(block: tuple, i0: int, gaps: tuple) -> Iterator[tuple]:
-        if complete_ok(block):
-            yield from emit(block, gaps + (rest[i0:],), 0, ())
-        for j in range(i0, len(rest)):
-            cand = rest[j]
-            if extend_ok(block, cand):
-                yield from rec(block + (cand,), j + 1, gaps + (rest[i0:j],))
-
-    def emit(block: tuple, gaps: tuple, gi: int, acc: tuple) -> Iterator[tuple]:
-        if gi == len(gaps):
-            yield (block,) + acc
-            return
-        for sub in _constrained_blocks(gaps[gi], extend_ok, complete_ok):
-            yield from emit(block, gaps, gi + 1, acc + sub)
-
-    yield from rec((first,), 0, ())
-
-
-def _enumerate_family(n: int, extend_ok, complete_ok) -> Iterator[Partition]:
-    for blocks in _constrained_blocks(tuple(range(1, n + 1)), extend_ok, complete_ok):
-        yield Partition._trusted(n, blocks)
-
-
-def enumerate_ncstar(g: GridShape, cap: int = STAR_ENUMERATION_CAP) -> Iterator[Partition]:
-    """Every member of the star family, each exactly once."""
+def _check_cap(g: GridShape, cap: int) -> None:
     if g.n > cap:
         raise ValueError("ground size %d exceeds cap %d" % (g.n, cap))
 
+
+def _even(block: tuple) -> bool:
+    return len(block) % 2 == 0
+
+
+def _star_step(g: GridShape):
     def extend_ok(block, cand):
         return (
             g.label_of(cand) == g.label_of(block[0])
             and g.interval_of(cand) % 2 != g.interval_of(block[-1]) % 2
         )
 
-    return _enumerate_family(g.n, extend_ok, lambda block: len(block) % 2 == 0)
+    return extend_ok
 
 
-def enumerate_ncstar2(g: GridShape, cap: int = STAR_ENUMERATION_CAP) -> Iterator[Partition]:
+def enumerate_ncstar(g: GridShape) -> Iterator[Partition]:
+    """Every member of the star family, each exactly once."""
+    _check_cap(g, STAR_ENUMERATION_CAP)
+    return enumerate_nc_constrained(g.n, _star_step(g), _even)
+
+
+def enumerate_ncstar2(g: GridShape) -> Iterator[Partition]:
     """The pairings of the star family (counted by fuss_catalan(d, m))."""
-    if g.n > cap:
-        raise ValueError("ground size %d exceeds cap %d" % (g.n, cap))
-
-    def extend_ok(block, cand):
-        return (
-            len(block) == 1
-            and g.label_of(cand) == g.label_of(block[0])
-            and g.interval_of(cand) % 2 != g.interval_of(block[-1]) % 2
-        )
-
-    return _enumerate_family(g.n, extend_ok, lambda block: len(block) == 2)
+    _check_cap(g, STAR_ENUMERATION_CAP)
+    star = _star_step(g)
+    return enumerate_nc_constrained(
+        g.n, lambda block, cand: len(block) == 1 and star(block, cand), _even)
 
 
 def _interval_vector(sizes: Sequence[int]) -> list:
@@ -179,27 +160,21 @@ def _enumerate_interval_avoiding(
     def extend_ok(block, cand):
         if pairs_only and len(block) != 1:
             return False
-        return all(iv[cand - 1] != iv[x - 1] for x in block)
+        return (cand - block[-1]) % 2 == 1 and all(iv[cand - 1] != iv[x - 1] for x in block)
 
-    if pairs_only:
-        return _enumerate_family(n, extend_ok, lambda block: len(block) == 2)
-    return _enumerate_family(n, extend_ok, lambda block: len(block) % 2 == 0)
+    return enumerate_nc_constrained(n, extend_ok, _even)
 
 
-def enumerate_ncdm(g: GridShape, cap: int = INTERVAL_ENUMERATION_CAP) -> Iterator[Partition]:
+def enumerate_ncdm(g: GridShape) -> Iterator[Partition]:
     """Every member of the interval-avoiding family, each exactly once."""
-    if g.n > cap:
-        raise ValueError("ground size %d exceeds cap %d" % (g.n, cap))
+    _check_cap(g, INTERVAL_ENUMERATION_CAP)
     iv = _interval_vector([g.d] * (2 * g.m))
     return _enumerate_interval_avoiding(g.n, iv, pairs_only=False)
 
 
-def enumerate_interval_pairings(
-    g: GridShape, cap: int = INTERVAL_ENUMERATION_CAP
-) -> Iterator[Partition]:
+def enumerate_interval_pairings(g: GridShape) -> Iterator[Partition]:
     """Non-crossing pairings that never pair a size-d interval with itself."""
-    if g.n > cap:
-        raise ValueError("ground size %d exceeds cap %d" % (g.n, cap))
+    _check_cap(g, INTERVAL_ENUMERATION_CAP)
     iv = _interval_vector([g.d] * (2 * g.m))
     return _enumerate_interval_avoiding(g.n, iv, pairs_only=True)
 

@@ -592,8 +592,8 @@ def load_family(path: str):
     their line too.
     """
     with open(path) as fh:
-        lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1)
-                 if ln.strip() and not ln.startswith("#")]
+        stripped = [(no, ln.strip()) for no, ln in enumerate(fh, 1)]
+    lines = [(no, ln) for no, ln in stripped if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty family file %s" % path)
     head_no, head_line = lines[0]

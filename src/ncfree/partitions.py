@@ -4,11 +4,19 @@ Elements are 1-based and arithmetic on positions is cyclic: position 0 is
 identified with n.  Partitions are stored in a unique canonical form (blocks
 sorted by minimum, elements ascending), so equality and hashing are
 structural.
+
+Every non-crossing family in the package comes from one recursion,
+enumerate_nc_constrained: pick the block of the smallest element of a
+contiguous segment, then partition the gaps between its consecutive
+elements, and the tail after it, independently.  Two predicates steer it:
+one decides whether a block may grow by a candidate element, the other
+whether a block may be kept.  enumerate_nc passes predicates that always
+hold, so it yields NC(n) in the recursion's order rather than a sorted
+one; the constrained families of ncfree.families pass their own.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Iterator, Sequence
 
 NC_ENUMERATION_CAP = 14
@@ -162,43 +170,59 @@ def is_noncrossing(p: Partition) -> bool:
     return True
 
 
-def enumerate_nc(n: int, cap: int = NC_ENUMERATION_CAP) -> Iterator[Partition]:
-    """All non-crossing partitions of {1..n}, each once, in canonical order.
+def enumerate_nc(n: int) -> Iterator[Partition]:
+    """All non-crossing partitions of {1..n}, each exactly once.
 
-    The recursion picks the block of the smallest element; the gaps between
-    its consecutive elements are then partitioned independently, which
-    produces every non-crossing partition exactly once.
+    The order is that of enumerate_nc_constrained, not a sorted order.
+    Raises ValueError, when called, for n outside 1..NC_ENUMERATION_CAP.
     """
-    if not 1 <= n <= cap:
-        raise ValueError("ground size %d outside 1..%d" % (n, cap))
-    for blocks in _nc_blocks(tuple(range(1, n + 1))):
+    if not 1 <= n <= NC_ENUMERATION_CAP:
+        raise ValueError("ground size %d outside 1..%d" % (n, NC_ENUMERATION_CAP))
+    return enumerate_nc_constrained(n, _always, _always)
+
+
+def _always(*_) -> bool:
+    return True
+
+
+def enumerate_nc_constrained(n: int, extend_ok, complete_ok) -> Iterator[Partition]:
+    """Non-crossing partitions of {1..n} built block by block under predicates.
+
+    The block of the smallest element of a contiguous segment grows by
+    larger elements `cand` while extend_ok(block, cand) holds, and is kept
+    wherever complete_ok(block) holds; the gaps between its consecutive
+    elements, and the tail after its last one, are then partitioned the
+    same way and independently.  With predicates that are always true this
+    yields every non-crossing partition exactly once.
+    """
+    for blocks in _constrained_blocks((tuple(range(1, n + 1)),), (), extend_ok, complete_ok):
         yield Partition._trusted(n, blocks)
 
 
-def _nc_blocks(positions: tuple) -> Iterator[tuple]:
-    if not positions:
-        yield ()
-        return
-    first = positions[0]
-    rest = positions[1:]
-    for k in range(len(rest) + 1):
-        for picks in itertools.combinations(range(len(rest)), k):
-            block = (first,) + tuple(rest[i] for i in picks)
-            gaps = []
-            prev = -1
-            for i in picks:
-                gaps.append(rest[prev + 1 : i])
-                prev = i
-            gaps.append(rest[prev + 1 :])
-            yield from _emit((block,), gaps, 0)
+def _constrained_blocks(segments: tuple, acc: tuple, extend_ok, complete_ok) -> Iterator[tuple]:
+    """acc followed by the blocks of each way to partition the segments in turn.
 
-
-def _emit(acc: tuple, gaps: list, gi: int) -> Iterator[tuple]:
-    if gi == len(gaps):
+    Segments are nonempty runs of consecutive positions in increasing order;
+    the gaps of a block are put in front of the later segments, so the
+    blocks come out sorted by minimum, in canonical form.
+    """
+    if not segments:
         yield acc
         return
-    for sub in _nc_blocks(gaps[gi]):
-        yield from _emit(acc + sub, gaps, gi + 1)
+    segment, later = segments[0], segments[1:]
+    first, rest = segment[0], segment[1:]
+
+    def grow(block: tuple, i0: int, gaps: tuple) -> Iterator[tuple]:
+        if complete_ok(block):
+            yield block, gaps + ((rest[i0:],) if i0 < len(rest) else ())
+        for j in range(i0, len(rest)):
+            cand = rest[j]
+            if extend_ok(block, cand):
+                yield from grow(block + (cand,), j + 1,
+                                gaps + ((rest[i0:j],) if j > i0 else ()))
+
+    for block, gaps in grow((first,), 0, ()):
+        yield from _constrained_blocks(gaps + later, acc + (block,), extend_ok, complete_ok)
 
 
 def restrict(p: Partition, subset: Sequence[int]) -> Partition:

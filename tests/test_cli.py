@@ -188,3 +188,22 @@ def test_verify_arithmetic_error_exits_2(monkeypatch, capsys):
     code, out, err = run(capsys, "verify", "--suite", "nonholo")
     assert code == 2 and out == ""
     assert err.startswith("verify: ") and "imaginary residual" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "nc", "--n", "15"),
+    ("--family", "ncstar", "--d", "5", "--m", "3"),
+    ("--family", "ncdm", "--d", "4", "--m", "3"),
+])
+def test_enumerate_past_cap_exits_2(argv, capsys):
+    code, out, err = run(capsys, "enumerate", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("enumerate: ground size ")
+
+
+def test_config_rejects_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("m=2\ntrails=50\n")
+    code, out, err = run(capsys, "--config", str(cfg), "verify", "--suite", "martingale")
+    assert code == 2 and out == ""
+    assert err.startswith("config: ") and "trails" in err

@@ -313,3 +313,37 @@ def test_q_fiber_input_validation():
         pair_split_fiber(parse_partition("1,2|3,4", 4), [2, 2])  # intra-interval pair
     with pytest.raises(ValueError):
         pair_split_fiber(parse_partition("1,3|2,4", 4), [1, 1, 1, 1])  # crossing
+
+
+def test_interval_avoiding_matches_filter_for_every_split():
+    # uneven and odd interval sizes included, so the odd-step prune is
+    # checked against plain membership wherever it can cut a branch
+    from ncfree.families import _enumerate_interval_avoiding, _interval_vector
+    for n in range(1, 9):
+        nc = list(enumerate_nc(n))
+        for k in range(1, 5):
+            for cuts in combinations(range(1, n), k - 1):
+                bounds = (0,) + cuts + (n,)
+                iv = _interval_vector([bounds[i + 1] - bounds[i] for i in range(k)])
+                filtered = {
+                    p for p in nc
+                    if all(len(b) % 2 == 0 and len({iv[x - 1] for x in b}) == len(b)
+                           for b in p.blocks)
+                }
+                members = list(_enumerate_interval_avoiding(n, iv, pairs_only=False))
+                assert len(members) == len(set(members))
+                assert set(members) == filtered, (n, iv)
+                pairings = list(_enumerate_interval_avoiding(n, iv, pairs_only=True))
+                assert len(pairings) == len(set(pairings))
+                assert set(pairings) == {p for p in filtered if is_pairing(p)}, (n, iv)
+
+
+@pytest.mark.parametrize("enumerator,d,m", [
+    (enumerate_ncstar, 5, 3),
+    (enumerate_ncstar2, 3, 5),
+    (enumerate_ncdm, 7, 2),
+    (enumerate_interval_pairings, 2, 6),
+])
+def test_family_caps_raise_when_called(enumerator, d, m):
+    with pytest.raises(ValueError, match="exceeds cap"):
+        enumerator(GridShape(d, m))

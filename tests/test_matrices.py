@@ -567,3 +567,19 @@ def test_ml_norms_dispatch():
     s = random_star_family(1, 2, 1, rng)
     assert len(ml_norms(a, 2)) == 3
     assert len(ml_norms(s, 1)) == 2
+
+
+def test_load_family_skips_indented_comments(tmp_path):
+    rng = np.random.default_rng(28)
+    a = random_star_family(2, 2, 1, rng)
+    plain = tmp_path / "plain.txt"
+    save_family(a, str(plain))
+    head, *records = plain.read_text().splitlines(keepends=True)
+    noted = tmp_path / "noted.txt"
+    noted.write_text("  # a note before the header\n" + head + "\t# between records\n"
+                     + "".join(records) + "   #\n")
+    b, c = load_family(str(plain)), load_family(str(noted))
+    assert type(b) is type(c) and (b.d, b.r, b.alpha) == (c.d, c.r, c.alpha)
+    assert set(b.entries) == set(c.entries)
+    for key, mat in b.entries.items():
+        assert np.array_equal(c.entries[key], mat)

@@ -187,3 +187,8 @@ def test_adjacent_pairs_bound_needs_the_wrap_pair():
     floor = 8 - 2 * (p.num_blocks - 1)
     assert count_adjacent_pairs(p, cyclic=True) == floor == 2
     assert count_adjacent_pairs(p, cyclic=False) == 1
+
+
+def test_enumeration_cap_raises_when_called():
+    with pytest.raises(ValueError, match="outside 1..14"):
+        enumerate_nc(15)
