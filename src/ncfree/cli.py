@@ -527,14 +527,8 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError("bad config line %r" % line)
             key, raw = line.split("=", 1)
-            key, raw = key.strip(), raw.strip()
-            try:
-                values[key] = int(raw)
-            except ValueError:
-                try:
-                    values[key] = float(raw)
-                except ValueError:
-                    values[key] = raw
+            # kept as text: argparse converts a string default with the option's type
+            values[key.strip()] = raw.strip()
     return values
 
 

@@ -10,7 +10,7 @@ index-reversed family.  The sums are evaluated as tensor contractions, one
 einsum per partition; for star families the block phases join the letters
 in a doubled alphabet of size 2r, so they too take one einsum per partition.
 Every moment is one weighted sum (`_weighted_sum`) of such trace sums over a
-partition family.
+partition family.  Operator norms are exact dense SVD norms.
 """
 
 from __future__ import annotations
@@ -418,33 +418,7 @@ def nonholo_rhs_bound(a, spec: CumulantSpec, m: int = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# operator norms: exact for block matrices, power iteration for the Fock
-# lower bound in oracles.fock_norm_estimate
-
-
-def power_iteration_norm(apply, apply_adjoint, dim: int, tol: float = 1e-10,
-                         max_iter: int = 20000, seed: int = 7) -> float:
-    """Largest singular value of a linear map given by its action and adjoint.
-
-    Iterates v <- normalize(A* A v) and returns ||A v||; the estimate
-    approaches the true value from below.
-    """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(max_iter):
-        w = apply(v)
-        u = apply_adjoint(w)
-        norm_u = np.linalg.norm(u)
-        if norm_u == 0.0:
-            return 0.0
-        refined = math.sqrt(norm_u)
-        v = u / norm_u
-        if abs(refined - estimate) <= tol * max(1.0, refined):
-            return refined
-        estimate = refined
-    return estimate
+# operator norms
 
 
 def operator_norm(M) -> float:

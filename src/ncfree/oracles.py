@@ -4,7 +4,10 @@ Three oracles, each avoiding the cumulant machinery: a truncated full Fock
 space carrying exact circular or semicircular families (truncation at depth
 d*m is lossless for vacuum moments of 2m factors), exact convolution in the
 group algebra of a free group for the unitary case, and a brute-force moment
-sum over all non-crossing partitions of the word positions.
+sum over all non-crossing partitions of the word positions.  The Fock
+realization also gives the operator-norm lower bound: its norm is computed
+exactly, as the largest dense norm over the small blocks into which the
+operator splits.
 """
 
 from __future__ import annotations
@@ -16,11 +19,12 @@ import numpy as np
 
 from .partitions import enumerate_nc
 from .cumulants import CumulantSpec, holo_word, kappa_pi, plain_word
+from . import matrices
 from .matrices import (
     CoefficientFamily,
     _check_adjacent_support,
     _weighted_sum,
-    power_iteration_norm,
+    operator_norm,
     trace_sum_complex,
 )
 
@@ -128,26 +132,61 @@ def fock_moment(a: CoefficientFamily, kind: str, m: int, depth: int = None) -> f
     return total
 
 
-def fock_norm_estimate(a: CoefficientFamily, kind: str = "circular", depth: int = None,
-                       tol: float = 1e-12, max_iter: int = 50000, seed: int = 11) -> float:
-    """Largest singular value of the truncated realization, from below.
+def fock_norm_estimate(a: CoefficientFamily, kind: str = "circular", depth: int = None) -> float:
+    """Largest singular value of the truncated realization, exact up to rounding.
 
+    Each basis word is sent to a handful of words, so the operator is block
+    diagonal into small dense blocks: the connected components of its support
+    graph, which links input word i to output word j where the alpha x alpha
+    entry (j, i) is nonzero.  The norm is the largest dense norm of a block.
     Depth 2d already reproduces each block matrix as a compression, so the
-    estimate dominates every ||M_l|| up to iteration error.
+    norm dominates every ||M_l||.
     """
     if depth is None:
         depth = 2 * a.d
     op = _FamilyOperator(a, kind, depth)
-    shape = (a.alpha, op.space.dimension)
+    size = op.space.dimension
+    # the column of each input word: its output words and their entries
+    images = []
+    unit = np.zeros((a.alpha, a.alpha, size), dtype=complex)
+    for i in range(size):
+        unit[:, :, i] = np.eye(a.alpha)
+        image = op.apply(unit)
+        unit[:, :, i] = 0.0
+        rows = np.flatnonzero(image.any(axis=(0, 1))).tolist()
+        images.append((rows, image[:, :, rows].transpose(2, 1, 0)))
 
-    def apply(v):
-        return op.apply(v.reshape(shape)).ravel()
+    # union-find over input words 0..size-1 and output words size..2*size-1
+    parent = list(range(2 * size))
 
-    def apply_adjoint(v):
-        return op.apply_adjoint(v.reshape(shape)).ravel()
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    return power_iteration_norm(apply, apply_adjoint, op.dim,
-                                tol=tol, max_iter=max_iter, seed=seed)
+    for i, (rows, _) in enumerate(images):
+        for j in rows:
+            parent[root(size + j)] = root(i)
+    components: Dict[int, list] = {}
+    for i, (rows, _) in enumerate(images):
+        if len(rows):
+            components.setdefault(root(i), []).append(i)
+    blocks = []
+    for inputs in components.values():
+        outputs = np.array(sorted({j for i in inputs for j in images[i][0]}))
+        if a.alpha * max(len(inputs), len(outputs)) > matrices.DIMENSION_CAP:
+            raise ValueError("Fock block dimension exceeds cap %d" % matrices.DIMENSION_CAP)
+        blocks.append((inputs, outputs))
+
+    norm = 0.0
+    for inputs, outputs in blocks:
+        block = np.zeros((len(outputs), a.alpha, len(inputs), a.alpha), dtype=complex)
+        for col, i in enumerate(inputs):
+            rows, entries = images[i]
+            block[np.searchsorted(outputs, rows), :, col, :] = entries
+        norm = max(norm, operator_norm(block.reshape(len(outputs) * a.alpha, -1)))
+    return norm
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +205,10 @@ def word_inverse(w: tuple) -> tuple:
     return tuple(-x for x in reversed(w))
 
 
-def convolve(p: Dict[tuple, np.ndarray], q: Dict[tuple, np.ndarray],
-             cap: int = GROUP_SUPPORT_CAP) -> Dict[tuple, np.ndarray]:
+def convolve(p: Dict[tuple, np.ndarray], q: Dict[tuple, np.ndarray]) -> Dict[tuple, np.ndarray]:
     """Product in the matrix-coefficient group algebra, with word reduction."""
-    if len(p) * len(q) > cap:
-        raise ValueError("convolution support product exceeds cap %d" % cap)
+    if len(p) * len(q) > GROUP_SUPPORT_CAP:
+        raise ValueError("convolution support product exceeds cap %d" % GROUP_SUPPORT_CAP)
     out: Dict[tuple, np.ndarray] = {}
     for w1, m1 in p.items():
         for w2, m2 in q.items():

@@ -84,9 +84,6 @@ class Partition:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    def block_sizes(self) -> tuple:
-        return tuple(len(b) for b in self.blocks)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Partition)

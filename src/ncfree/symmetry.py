@@ -257,9 +257,7 @@ def level_exponents(p: Partition, g: GridShape) -> tuple:
     return tuple(Fraction(prof[l + 1] - prof[l], g.m - 1) for l in range(g.d + 1))
 
 
-def absorption_probabilities(
-    p: Partition, g: GridShape, state_cap: int = ABSORPTION_STATE_CAP
-) -> Dict[TerminalKind, Fraction]:
+def absorption_probabilities(p: Partition, g: GridShape) -> Dict[TerminalKind, Fraction]:
     """Exact absorption distribution of the uniform-cut symmetrization chain.
 
     One step picks i uniformly in {1..2m} and applies the symmetrization at
@@ -280,8 +278,8 @@ def absorption_probabilities(
             continue
         images = [symmetrize(state, k) for k in cuts]
         succ[state] = images
-        if len(succ) > state_cap:
-            raise ValueError("reachable state graph exceeds cap %d" % state_cap)
+        if len(succ) > ABSORPTION_STATE_CAP:
+            raise ValueError("reachable state graph exceeds cap %d" % ABSORPTION_STATE_CAP)
         frontier.extend(img for img in images if img not in succ)
 
     kinds = sorted(terminals)

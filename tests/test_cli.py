@@ -160,6 +160,14 @@ def test_config_file_defaults(tmp_path, capsys):
     assert "m=3" not in out
 
 
+def test_config_values_take_the_option_type(tmp_path, capsys):
+    cfg = tmp_path / "frac.cfg"
+    cfg.write_text("m=2.5\n")
+    code, out, err = run(capsys, "--config", str(cfg), "verify", "--suite", "martingale")
+    assert code == 2 and out == ""
+    assert "argument --m: invalid int value" in err
+
+
 def test_norm_rejects_nan_cell(tmp_path, capsys):
     path = tmp_path / "nan.txt"
     path.write_text("1 1 1\n1 nan,0\n")

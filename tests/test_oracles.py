@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ncfree import matrices, oracles
 from ncfree.cumulants import CumulantSpec
 from ncfree.matrices import (
     CoefficientFamily,
@@ -15,6 +16,7 @@ from ncfree.matrices import (
 )
 from ncfree.oracles import (
     FockSpace,
+    _FamilyOperator,
     adjoint_element,
     brute_moment,
     convolve,
@@ -101,6 +103,50 @@ def test_fock_norm_estimate_dominates_block_norms():
             est = fock_norm_estimate(a, "circular")
             worst = max(operator_norm(build_Ml(a, l).matrix) for l in range(d + 1))
             assert worst <= est + 1e-6
+
+
+def dense_fock_norm(a, kind, depth):
+    """Largest singular value of the operator built column by column."""
+    op = _FamilyOperator(a, kind, depth)
+    mat = np.zeros((op.dim, op.dim), dtype=complex)
+    for j in range(op.dim):
+        e = np.zeros(op.dim, dtype=complex)
+        e[j] = 1.0
+        mat[:, j] = op.apply(e.reshape(a.alpha, -1)).ravel()
+    return float(np.linalg.svd(mat, compute_uv=False)[0])
+
+
+@pytest.mark.parametrize("kind", ["circular", "semicircular"])
+@pytest.mark.parametrize("d,r,depth", [(1, 1, None), (1, 2, None), (2, 1, None), (2, 2, None),
+                                       (3, 1, None), (2, 2, 3)])
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_fock_norm_estimate_is_exact(kind, d, r, depth, alpha):
+    rng = np.random.default_rng(100 * d + 10 * r + alpha)
+    a = random_family(d, r, alpha, rng)
+    exact = dense_fock_norm(a, kind, depth or 2 * d)
+    assert math.isclose(fock_norm_estimate(a, kind, depth), exact, rel_tol=1e-12)
+
+
+def test_fock_norm_block_past_cap_raises(monkeypatch):
+    a = CoefficientFamily(2, 2, 1, {(1, 1): [[1.0]], (2, 1): [[0.5]]})
+    # the first block found takes 7 words to 12 and fits; a later one takes
+    # 12 words to 25 and does not, so no block may be built at all
+    monkeypatch.setattr(matrices, "DIMENSION_CAP", 24)
+
+    def never(M):
+        raise AssertionError("a dense block was built before the cap check")
+
+    monkeypatch.setattr(oracles, "operator_norm", never)
+    with pytest.raises(ValueError, match="exceeds cap 24"):
+        fock_norm_estimate(a, "circular")
+
+
+def test_convolve_cap_is_read_when_called(monkeypatch):
+    x = {(1,): np.eye(1), (2,): np.eye(1)}
+    monkeypatch.setattr(oracles, "GROUP_SUPPORT_CAP", 3)
+    with pytest.raises(ValueError, match="exceeds cap 3"):
+        convolve(x, x)
+    assert len(convolve(x, {(): np.eye(1)})) == 2
 
 
 def test_word_reduction():

@@ -15,6 +15,7 @@ from ncfree.partitions import (
     restrict,
     shifted_pairing,
 )
+from ncfree import symmetry
 from ncfree.symmetry import (
     GridShape,
     TerminalKind,
@@ -307,6 +308,14 @@ def test_absorption_identity_exact(d, m):
             lam = probs[TerminalKind("level", l)]
             lam += probs.get(TerminalKind("glued", l), Fraction(0))
             assert lam * (m - 1) == prof[l + 1] - prof[l]
+
+
+def test_absorption_state_cap_is_read_when_called(monkeypatch):
+    g = GridShape(1, 3)
+    p = parse_partition("1,2,3,4|5,6", 6)
+    monkeypatch.setattr(symmetry, "ABSORPTION_STATE_CAP", 0)
+    with pytest.raises(ValueError, match="exceeds cap 0"):
+        absorption_probabilities(p, g)
 
 
 def test_absorption_probabilities_are_rational():
