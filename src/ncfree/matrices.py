@@ -9,8 +9,15 @@ contribute alternately the family and the conjugate-transpose of the
 index-reversed family.  The sums are evaluated as tensor contractions, one
 einsum per partition; for star families the block phases join the letters
 in a doubled alphabet of size 2r, so they too take one einsum per partition.
-Every moment is one weighted sum (`_weighted_sum`) of such trace sums over a
-partition family.  Operator norms are exact dense SVD norms.
+
+A moment is a cumulant-weighted sum of trace sums over every non-crossing
+partition, and `planar_sum` evaluates it without enumerating any: each
+group tensor is split into d site tensors, and an interval recursion over
+the 2dm positions (the block of the first position closes at some q, the
+gaps and the rest are smaller intervals) sums the planar contraction in
+polynomial time.  Only the semicircle and star_table hooks of holo_moment,
+and star_table in nonholo_moment, still sum `_weighted_sum` over an
+enumerated family.  Operator norms are exact dense SVD norms.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import Dict
 
@@ -35,11 +41,13 @@ from .cumulants import (
     holo_word,
     kappa_pi,
     plain_word,
-    rdiag_block_weight,
 )
 
 ASSIGNMENT_CAP = 10_000_000
 DIMENSION_CAP = 4096
+# bound on 2dm * bond: the planar recursion takes (2dm * bond)^3 time and
+# (2dm * bond)^2 memory per letter context
+MOMENT_DP_CAP = 1024
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
@@ -119,6 +127,8 @@ class StarCoefficientFamily:
                 t[tuple(k - 1 for k in idx) + tuple(int(s) for s in stars)] = mat
             self._dense = t
         return self._dense
+
+    frobenius_sq = CoefficientFamily.frobenius_sq
 
     def __repr__(self) -> str:
         return "StarCoefficientFamily(d=%d, r=%d, alpha=%d, support=%d)" % (
@@ -268,13 +278,7 @@ def trace_sum_star_complex(a: StarCoefficientFamily, p: Partition,
     if (2 * a.r) ** p.num_blocks > cap:
         raise ValueError("assignment count exceeds cap %d" % cap)
     d = g.d
-    t = a.dense()
-    # [k, e, i, j] = conj(t[rev k, rev(1-e), j, i])
-    perm = tuple(range(d - 1, -1, -1)) + tuple(range(2 * d - 1, d - 1, -1)) + (2 * d + 1, 2 * d)
-    even_t = np.flip(t.transpose(perm), axis=tuple(range(d, 2 * d))).conj()
-    # (k_1..k_d, e_1..e_d, i, j) -> (k_1, e_1, .., k_d, e_d, i, j)
-    interleave = tuple(x for o in range(d) for x in (o, d + o)) + (2 * d, 2 * d + 1)
-    shape = (2 * a.r,) * d + (a.alpha, a.alpha)
+    t, even_t = _star_group_tensors(a)
     odd_rank = [0] * p.n
     for b in p.blocks:
         for pos in b[1::2]:
@@ -286,11 +290,25 @@ def trace_sum_star_complex(a: StarCoefficientFamily, p: Partition,
         flips = tuple(d + o for o in range(d) if odd_rank[j * d + o])
         key = (j % 2, flips)
         if key not in doubled:
-            base = np.flip(even_t if j % 2 else t, axis=flips)
-            doubled[key] = base.transpose(interleave).reshape(shape)
+            doubled[key] = _merge_letters(np.flip(even_t if j % 2 else t, axis=flips), d)
         return doubled[key]
 
     return _contract(p, d, g.m, tensor_of)
+
+
+def _star_group_tensors(a: StarCoefficientFamily) -> tuple:
+    """The family and its reversed, star-conjugated adjoint, both with axes
+    (k_1..k_d, e_1..e_d, i, j)."""
+    d, t = a.d, a.dense()
+    # [k, e, i, j] = conj(t[rev k, rev(1-e), j, i])
+    perm = tuple(range(d - 1, -1, -1)) + tuple(range(2 * d - 1, d - 1, -1)) + (2 * d + 1, 2 * d)
+    return t, np.flip(t.transpose(perm), axis=tuple(range(d, 2 * d))).conj()
+
+
+def _merge_letters(t: np.ndarray, d: int) -> np.ndarray:
+    """(k_1..k_d, e_1..e_d, i, j) -> (l_1..l_d, i, j) with letter l = k * 2 + e."""
+    interleave = tuple(x for o in range(d) for x in (o, d + o)) + (2 * d, 2 * d + 1)
+    return t.transpose(interleave).reshape((2 * t.shape[0],) * d + t.shape[-2:])
 
 
 def trace_sum_star(a: StarCoefficientFamily, p: Partition, cap: int = ASSIGNMENT_CAP) -> float:
@@ -298,17 +316,164 @@ def trace_sum_star(a: StarCoefficientFamily, p: Partition, cap: int = ASSIGNMENT
 
 
 # ---------------------------------------------------------------------------
-# exact even-power norms via cumulant sums
+# moments by a planar interval recursion
 
 
-@lru_cache(maxsize=None)
-def _star_members(d: int, m: int) -> tuple:
-    return tuple(enumerate_ncstar(GridShape(d, m)))
+def _split_group(g: np.ndarray) -> list:
+    """d site tensors (left bond, letter, right bond) whose chained product is
+    the group tensor g, axes (letter_1..letter_d, i, j).
+
+    A copy split: the sites before the middle one copy their letter onto the
+    bond, the middle site holds the data and emits the suffix letters, and
+    the sites after it read their letter off the bond.  The bond after o
+    letters is alpha * L^min(o, d-o), and no entry is computed.
+    """
+    d, letters, alpha = g.ndim - 2, g.shape[0], g.shape[-1]
+    h = d // 2
+    sites = [np.eye(alpha * letters ** (o + 1)).reshape(alpha * letters ** o, letters, -1)
+             for o in range(h)]
+    perm = (d,) + tuple(range(d)) + (d + 1,)
+    sites.append(g.transpose(perm).reshape(alpha * letters ** h, letters, -1))
+    for o in range(h + 1, d):
+        right = alpha * letters ** (d - o - 1)
+        sites.append(np.eye(letters * right).reshape(-1, letters, right))
+    return sites
 
 
-@lru_cache(maxsize=None)
-def _interval_members(d: int, m: int) -> tuple:
-    return tuple(enumerate_ncdm(GridShape(d, m)))
+def _ring_sites(groups: tuple, m: int, bond: int, star_legs: bool) -> np.ndarray:
+    """Site tensors of the 2dm positions, shape (2dm, bond, letters, bond).
+
+    groups holds the odd and even group tensors; every bond is zero-padded to
+    `bond`.  With star_legs the letter axis doubles to (k, star) = k * 2 + star
+    and each site fills only the star of its group.
+    """
+    d, letters = groups[0].ndim - 2, groups[0].shape[0]
+    width = 2 * letters if star_legs else letters
+    sites = np.zeros((2, d, bond, width, bond), dtype=complex)
+    for j, group in enumerate(groups):
+        legs = slice(j, None, 2) if star_legs else slice(None)
+        for o, s in enumerate(_split_group(group)):
+            sites[j, o, :s.shape[0], legs, :s.shape[2]] = s
+    return np.concatenate([sites.reshape(2 * d, bond, width, bond)] * m)
+
+
+def _interval_tables(n: int, bond: int, lead: tuple = ()) -> list:
+    """Zeroed tables of the bond-by-bond matrices F[s, e] for 0 <= s <= e <= n
+    with e - s even, the identity on the diagonal.  They are split by the
+    parity of s: F[s, e] is tables[s % 2][..., s // 2, :, e // 2, :], so the
+    runs of starts and ends a recursion step reads are plain slices."""
+    tables = []
+    for parity in (0, 1):
+        count = (n - parity) // 2 + 1
+        table = np.zeros(lead + (count, bond, count, bond), dtype=complex)
+        table[..., np.arange(count), :, np.arange(count), :] = np.eye(bond)
+        tables.append(table)
+    return tables
+
+
+def _block_dp(sites: np.ndarray, flip: np.ndarray, alphas: list) -> complex:
+    """Sum over the even-block non-crossing partitions of the ring's positions.
+
+    A block of 2j elements weighs alphas[j-1] and carries one letter l; its
+    elements of even rank (counted from 0) use leg l and those of odd rank
+    leg flip[l].  F[i, e] sums the partitions of positions i..e-1, which
+    vanishes unless e - i is even.  Going back from the last position, H
+    holds the open block of i by letter and last element, every gap filled,
+    and B the weighted closed blocks.  An element of rank t sits at a
+    distance from i of the parity of t, and only the letters whose leg at i
+    is nonzero open a block.
+    """
+    n, bond, _, _ = sites.shape
+    legs = (sites.transpose(2, 0, 1, 3), sites[:, :, flip, :].transpose(2, 0, 1, 3))
+    F = _interval_tables(n, bond)
+    for i in range(n - 1, -1, -1):
+        live = np.flatnonzero(sites[i].any(axis=(0, 2)))
+        ne, no = len(range(i, n, 2)), len(range(i + 1, n, 2))
+        same, other, a, b = F[i % 2], F[1 - i % 2], i // 2, (i + 1) // 2
+        # gaps[t % 2][(p, b), (q, c)] = F[p + 1, q][b, c]: from rank t-1 at p to rank t at q
+        gaps = (same[a + 1:a + 1 + no, :, a:a + ne, :].reshape(no * bond, ne * bond),
+                other[b:b + ne, :, b:b + no, :].reshape(ne * bond, no * bond))
+        H = np.zeros((len(live), bond, ne, bond), dtype=complex)
+        H[:, :, 0, :] = legs[0][live, i]
+        B = np.zeros((bond, no, bond), dtype=complex)
+        for t in range(1, 2 * len(alphas)):
+            at, count = (slice(i + 1, n, 2), no) if t % 2 else (slice(i, n, 2), ne)
+            G = (H.reshape(len(live), bond, H.shape[2] * bond) @ gaps[t % 2]).reshape(
+                len(live), bond, count, bond)
+            H = (G.transpose(0, 2, 1, 3) @ legs[t % 2][live, at]).transpose(0, 2, 1, 3)
+            if t % 2 and alphas[t // 2]:
+                B += alphas[t // 2] * H.sum(axis=0)
+        rest = same[a + 1:a + 1 + no, :, a + 1:a + 1 + no, :].reshape(no * bond, no * bond)
+        same[a, :, a + 1:a + 1 + no, :] = (B.reshape(bond, no * bond) @ rest).reshape(
+            bond, no, bond)
+    return complex(np.trace(F[0][0, :, n // 2, :]))
+
+
+def _tree_dp(sites: np.ndarray, flip: np.ndarray) -> complex:
+    """The Haar moment as a sum over reductions of the word to the identity.
+
+    Kesten's first-return decomposition: the letter l of the first position
+    i is cancelled at q by its inverse flip[l], the positions between reduce
+    on top of l, and the rest reduces on what lies below.  F[c][i, e] covers
+    positions i..e-1 whose first letter must not be c, the inverse of the
+    letter below them (c = letters: nothing below).  Every term has weight
+    1, so nothing cancels between partitions.
+    """
+    n, bond, letters, _ = sites.shape
+    contexts = letters + 1
+    allowed = (np.arange(contexts)[:, None] != np.arange(letters)).astype(complex)
+    opening = sites.transpose(2, 0, 1, 3)
+    closing = sites[:, :, flip, :].transpose(2, 0, 1, 3)
+    F = _interval_tables(n, bond, (contexts,))
+    for i in range(n - 1, -1, -1):
+        live = np.flatnonzero(sites[i].any(axis=(0, 2)))
+        nl, no = len(live), len(range(i + 1, n, 2))
+        same, other, a, b = F[i % 2], F[1 - i % 2], i // 2, (i + 1) // 2
+        # pair[l, q] = opening[l, i] F[flip l][i + 1, q] closing[l, q], q = i+1, i+3, ..
+        inner = other[flip[live], b, :, b:b + no, :].reshape(nl, bond, no * bond)
+        pair = ((opening[live, i] @ inner).reshape(nl, bond, no, bond).transpose(0, 2, 1, 3)
+                @ closing[live, i + 1:n:2])
+        first = (allowed[:, live] @ pair.reshape(nl, no * bond * bond)).reshape(
+            contexts, no, bond, bond).transpose(0, 2, 1, 3).reshape(contexts, bond, no * bond)
+        rest = same[:, a + 1:a + 1 + no, :, a + 1:a + 1 + no, :].reshape(
+            contexts, no * bond, no * bond)
+        same[:, a, :, a + 1:a + 1 + no, :] = (first @ rest).reshape(contexts, bond, no, bond)
+    return complex(np.trace(F[0][letters, 0, :, n // 2, :]))
+
+
+def planar_sum(a, spec: CumulantSpec, m: int) -> complex:
+    """The moment Tr (x) phi((X X*)^m) as one planar contraction.
+
+    Plain families under R-diagonal presets and star families both take the
+    doubled alphabet of letters (k, star), in which a block's elements
+    alternate stars; a plain family under the semicircle takes its own
+    alphabet and pairs only.  The Haar preset takes the tree form, the others
+    the block recursion with alpha_{s/2} per block of s elements.
+    Raises ValueError past MOMENT_DP_CAP, before any work, and for presets
+    without a determining sequence on star families.
+    """
+    d = a.d
+    star = isinstance(a, StarCoefficientFamily)
+    letters = 2 * a.r if star else a.r
+    n, bond = 2 * d * m, a.alpha * letters ** (d // 2)
+    if n * bond > MOMENT_DP_CAP:
+        raise ValueError("moment recursion size 2dm * bond = %d * %d exceeds MOMENT_DP_CAP = %d"
+                         % (n, bond, MOMENT_DP_CAP))
+    if star:
+        groups = tuple(_merge_letters(t, d) for t in _star_group_tensors(a))
+    else:
+        groups = (a.dense(), _tilde_star_tensor(a.dense(), d))
+    if spec.kind == "semicircle" and not star:
+        sites = _ring_sites(groups, m, bond, star_legs=False)
+        return _block_dp(sites, np.arange(letters), [1])
+    sites = _ring_sites(groups, m, bond, star_legs=not star)
+    flip = np.arange(sites.shape[2]) ^ 1
+    if spec.kind == "haar":
+        return _tree_dp(sites, flip)
+    alphas = [complex(x) for x in spec.determining(n // 2)]
+    while alphas and not alphas[-1]:
+        alphas.pop()
+    return _block_dp(sites, flip, alphas)
 
 
 def _real_part(total: complex, what: str) -> float:
@@ -316,6 +481,15 @@ def _real_part(total: complex, what: str) -> float:
     if abs(total.imag) > bound:
         raise ArithmeticError("%s has imaginary residual %g" % (what, total.imag))
     return total.real
+
+
+def _moment_value(a, total: complex, m: int) -> float:
+    """The real part of a moment sum, clamped at 0 within rounding of the
+    scale ||a||_2^(2m); a clearly negative power raises ArithmeticError."""
+    value = _real_part(total, "moment sum")
+    if value < -ABS_TOL * max(1.0, a.frobenius_sq() ** m):
+        raise ArithmeticError("norm power is negative: %g" % value)
+    return max(value, 0.0)
 
 
 def _weighted_sum(members, weight_of, trace_of) -> complex:
@@ -329,14 +503,21 @@ def _weighted_sum(members, weight_of, trace_of) -> complex:
 
 
 def holo_moment(a: CoefficientFamily, spec: CumulantSpec, m: int) -> float:
-    """The 2m-th moment power: cumulant-weighted trace sums over the star family."""
-    word = holo_word(a.d, m)
-    total = _weighted_sum(_star_members(a.d, m), lambda p: kappa_pi(spec, p, word),
-                          lambda p: trace_sum_complex(a, p))
-    value = _real_part(total, "moment sum")
-    if value < -ABS_TOL * max(1.0, a.frobenius_sq() ** m):
-        raise ArithmeticError("norm power is negative: %g" % value)
-    return max(value, 0.0)
+    """The 2m-th moment power: cumulant-weighted trace sums over the star family.
+
+    The R-diagonal presets take planar_sum: their cumulants vanish on every
+    non-crossing partition outside the star family.  The semicircle and
+    star_table hooks weigh blocks that do not alternate, so they keep the
+    enumerated star-family sum.
+    """
+    if spec.kind in ("semicircle", "star_table"):
+        word = holo_word(a.d, m)
+        total = _weighted_sum(enumerate_ncstar(GridShape(a.d, m)),
+                              lambda p: kappa_pi(spec, p, word),
+                              lambda p: trace_sum_complex(a, p))
+    else:
+        total = planar_sum(a, spec, m)
+    return _moment_value(a, total, m)
 
 
 def holo_norm_2m(a: CoefficientFamily, spec: CumulantSpec, m: int) -> float:
@@ -389,20 +570,24 @@ def nonholo_moment(a, spec: CumulantSpec, m: int) -> float:
 
     Self-adjoint presets pair with a plain family vanishing on tuples with
     equal neighbours; R-diagonal presets pair with a star family supported
-    on reduced words.
+    on reduced words.  On these supports every non-crossing partition that
+    links an interval to itself contributes 0, so planar_sum gives the
+    family's sum; only the star_table hook on plain families enumerates it.
     """
     if isinstance(a, StarCoefficientFamily):
-        total = _weighted_sum(_interval_members(a.d, m), lambda p: rdiag_block_weight(spec, p),
-                              lambda p: trace_sum_star_complex(a, p))
+        total = planar_sum(a, spec, m)
     else:
         if spec.kind not in ("semicircle", "star_table"):
             raise ValueError("plain families pair with self-adjoint presets")
         _check_adjacent_support(a)
-        word = plain_word(2 * a.d * m)
-        total = _weighted_sum(_interval_members(a.d, m), lambda p: kappa_pi(spec, p, word),
-                              lambda p: trace_sum_complex(a, p))
-    value = _real_part(total, "moment sum")
-    return max(value, 0.0)
+        if spec.kind == "semicircle":
+            total = planar_sum(a, spec, m)
+        else:
+            word = plain_word(2 * a.d * m)
+            total = _weighted_sum(enumerate_ncdm(GridShape(a.d, m)),
+                                  lambda p: kappa_pi(spec, p, word),
+                                  lambda p: trace_sum_complex(a, p))
+    return _moment_value(a, total, m)
 
 
 def nonholo_norm_2m(a, spec: CumulantSpec, m: int) -> float:

@@ -215,3 +215,55 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     code, out, err = run(capsys, "--config", str(cfg), "verify", "--suite", "martingale")
     assert code == 2 and out == ""
     assert err.startswith("config: ") and "trails" in err
+
+
+def test_norm_haar_past_the_old_star_cap(tmp_path, capsys):
+    # 2dm = 32 exceeds the star-family enumeration cap; the moment recursion has none
+    from ncfree.oracles import free_group_moment
+
+    fam = random_family(1, 2, 2, np.random.default_rng(41))
+    path = str(tmp_path / "d1.txt")
+    save_family(fam, path)
+    code, out, err = run(capsys, "norm", "--family-file", path, "--spec", "haar", "--m", "16")
+    assert code == 0, err
+    values = dict(line.split("=") for line in out.strip().splitlines())
+    moment = float(values["lhs_norm_2m"]) ** 32
+    assert abs(moment - free_group_moment(fam, 16)) <= 1e-9 * free_group_moment(fam, 16)
+
+
+def test_norm_past_moment_dp_cap_exits_2(tmp_path, capsys):
+    from ncfree.matrices import MOMENT_DP_CAP
+
+    path = str(tmp_path / "one.txt")
+    with open(path, "w") as fh:
+        fh.write("1 1 1\n1 1,0\n")
+    m = MOMENT_DP_CAP // 2 + 1  # bond 1, so 2dm = 2m is the recursion size
+    code, out, err = run(capsys, "norm", "--family-file", path, "--spec", "circular",
+                         "--m", str(m))
+    assert code == 2 and out == ""
+    assert err.startswith("norm: ") and "MOMENT_DP_CAP" in err
+
+
+def test_norm_negative_moment_exits_2(tmp_path, monkeypatch, capsys):
+    from ncfree import matrices
+
+    monkeypatch.setattr(matrices, "planar_sum", lambda a, spec, m: -1 + 0j)
+    path = str(tmp_path / "fam.txt")
+    save_family(random_family(2, 2, 2, np.random.default_rng(42)), path)
+    code, out, err = run(capsys, "norm", "--family-file", path, "--spec", "circular",
+                         "--m", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("norm: ") and "negative" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "ncfree", "verify", "--suite", "haar",
+                           "--n", "3"], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "experiment,params,value,bound,passed,residual"
