@@ -15,9 +15,9 @@ partition, and `planar_sum` evaluates it without enumerating any: each
 group tensor is split into d site tensors, and an interval recursion over
 the 2dm positions (the block of the first position closes at some q, the
 gaps and the rest are smaller intervals) sums the planar contraction in
-polynomial time.  Only the semicircle and star_table hooks of holo_moment,
-and star_table in nonholo_moment, still sum `_weighted_sum` over an
-enumerated family.  Operator norms are exact dense SVD norms.
+polynomial time.  Only the star_table hook still sums `_weighted_sum` over
+an enumerated family.  Moments are summed for the family scaled to unit
+norm and scaled back.  Operator norms are exact dense SVD norms.
 """
 
 from __future__ import annotations
@@ -45,9 +45,12 @@ from .cumulants import (
 
 ASSIGNMENT_CAP = 10_000_000
 DIMENSION_CAP = 4096
-# bound on 2dm * bond: the planar recursion takes (2dm * bond)^3 time and
-# (2dm * bond)^2 memory per letter context
-MOMENT_DP_CAP = 1024
+# bound on the complex entries the planar recursion holds at once (256 MB):
+# its two interval tables, of side the summed bonds of the ring's even and
+# odd boundaries, times the letter contexts in the Haar tree form, or plus
+# the open-block arrays in the block recursion; time grows as a further
+# factor of the table side
+MOMENT_DP_CAP = 2 ** 24
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
@@ -90,6 +93,14 @@ class CoefficientFamily:
     def frobenius_sq(self) -> float:
         return float(sum(np.sum(np.abs(m) ** 2) for m in self.entries.values()))
 
+    def scaled(self, c: float):
+        """The family c * a.  The support is unchanged, so it is not checked again."""
+        out = object.__new__(type(self))
+        out.d, out.r, out.alpha = self.d, self.r, self.alpha
+        out.entries = {key: c * mat for key, mat in self.entries.items()}
+        out._dense = None if self._dense is None else c * self._dense
+        return out
+
     def __repr__(self) -> str:
         return "CoefficientFamily(d=%d, r=%d, alpha=%d, support=%d)" % (
             self.d, self.r, self.alpha, len(self.entries))
@@ -129,6 +140,7 @@ class StarCoefficientFamily:
         return self._dense
 
     frobenius_sq = CoefficientFamily.frobenius_sq
+    scaled = CoefficientFamily.scaled
 
     def __repr__(self) -> str:
         return "StarCoefficientFamily(d=%d, r=%d, alpha=%d, support=%d)" % (
@@ -203,8 +215,13 @@ def schatten_pow(M, m: int) -> float:
 
 
 def schatten_norm(M, m: int) -> float:
-    """The 2m-norm: Tr((M^* M)^m)^(1/2m)."""
-    return schatten_pow(M, m) ** (1.0 / (2 * m))
+    """The 2m-norm: Tr((M^* M)^m)^(1/2m), taken at unit Frobenius norm so
+    that the power stays within the float range at large m."""
+    mat = _matrix_of(M)
+    scale = float(np.linalg.norm(mat))
+    if not scale:
+        return 0.0
+    return scale * schatten_pow(mat / scale, m) ** (1.0 / (2 * m))
 
 
 # ---------------------------------------------------------------------------
@@ -340,76 +357,109 @@ def _split_group(g: np.ndarray) -> list:
     return sites
 
 
-def _ring_sites(groups: tuple, m: int, bond: int, star_legs: bool) -> np.ndarray:
-    """Site tensors of the 2dm positions, shape (2dm, bond, letters, bond).
+def _bond(o: int, d: int, alpha: int, letters: int) -> int:
+    return alpha * letters ** min(o % d, d - o % d)
 
-    groups holds the odd and even group tensors; every bond is zero-padded to
-    `bond`.  With star_legs the letter axis doubles to (k, star) = k * 2 + star
-    and each site fills only the star of its group.
+
+def _table_sizes(d: int, m: int, alpha: int, letters: int) -> tuple:
+    """(N_0, N_1): the summed bonds of the ring's boundaries 0..2dm of each
+    parity.  A group of odd d shifts the parity of the next one, and the
+    last boundary, 2dm, is even."""
+    group = [sum(_bond(o, d, alpha, letters) for o in range(parity, d, 2))
+             for parity in (0, 1)]
+    return tuple(m * (group[p] + group[(p + d) % 2]) + (alpha if p == 0 else 0) for p in (0, 1))
+
+
+class _Ring:
+    """The 2dm positions of the trace ring as site tensors, each position
+    with the bonds of its own place in its group.
+
+    Position p holds site p mod 2d, stored as legs (letter, left bond, right
+    bond).  The bond at boundary p (before position p) is
+    alpha * L^min(o, d - o) for o = p mod d, so it is alpha between groups.
+    The recursions keep one table per parity of boundary: boundary p owns
+    rows and columns at[p] .. at[p] + bond[p] of table p % 2, so the
+    boundaries p, p + 2, .., up to n are the suffix of that table from at[p].
+
+    The sites come from the odd and even group tensors.  With star_legs the
+    letter axis doubles to (k, star) = k * 2 + star and each site fills only
+    the star of its group.
     """
-    d, letters = groups[0].ndim - 2, groups[0].shape[0]
-    width = 2 * letters if star_legs else letters
-    sites = np.zeros((2, d, bond, width, bond), dtype=complex)
-    for j, group in enumerate(groups):
-        legs = slice(j, None, 2) if star_legs else slice(None)
-        for o, s in enumerate(_split_group(group)):
-            sites[j, o, :s.shape[0], legs, :s.shape[2]] = s
-    return np.concatenate([sites.reshape(2 * d, bond, width, bond)] * m)
+
+    def __init__(self, groups: tuple, m: int, star_legs: bool):
+        d, letters, alpha = groups[0].ndim - 2, groups[0].shape[0], groups[0].shape[-1]
+        self.d, self.n = d, 2 * d * m
+        n = self.n
+        # two empty boundaries past n end the suffixes of both parities
+        self.bond = np.array([_bond(p, d, alpha, letters) for p in range(n + 1)] + [0, 0])
+        self.at = np.zeros(n + 3, dtype=int)
+        for p in range(2, n + 3):
+            self.at[p] = self.at[p - 2] + self.bond[p - 2]
+        self.size = (int(self.at[n + 2]), int(self.at[n + 1]))  # n is even
+        width = 2 * letters if star_legs else letters
+        self.legs = []
+        for j, group in enumerate(groups):
+            fill = slice(j, None, 2) if star_legs else slice(None)
+            for s in _split_group(group):
+                legs = np.zeros((width, s.shape[0], s.shape[2]), dtype=complex)
+                legs[fill] = s.transpose(1, 0, 2)
+                self.legs.append(legs)
+        # only these letters open a block at a position of the class
+        self.live = [np.flatnonzero(legs.any(axis=(1, 2))) for legs in self.legs]
+        # the table columns of every position q of class c and of q + 1
+        self.cols = []
+        for c in range(2 * d):
+            qs = np.arange(c, n, 2 * d)
+            self.cols.append((self.at[qs][:, None] + np.arange(self.bond[c]),
+                              self.at[qs + 1][:, None] + np.arange(self.bond[c + 1])))
+
+    def step(self, G: np.ndarray, q0: int, letters: np.ndarray) -> np.ndarray:
+        """Append one position: G[j, .., boundary q] -> H[j, .., boundary q + 1]
+        for the positions q = q0, q0 + 2, .. < n, through the leg letters[j]
+        of each.  G and H span the suffixes from q0 and q0 + 1."""
+        period = 2 * self.d
+        H = np.zeros(G.shape[:-1] + (self.size[(q0 + 1) % 2] - self.at[q0 + 1],), dtype=complex)
+        for c in range(q0 % 2, period, 2):
+            first = max(0, -((c - q0) // period))
+            src, dst = self.cols[c][0][first:], self.cols[c][1][first:]
+            if len(src):
+                H[..., dst - self.at[q0 + 1]] = (G[..., src - self.at[q0]]
+                                                 @ self.legs[c][letters][:, None])
+        return H
 
 
-def _interval_tables(n: int, bond: int, lead: tuple = ()) -> list:
-    """Zeroed tables of the bond-by-bond matrices F[s, e] for 0 <= s <= e <= n
-    with e - s even, the identity on the diagonal.  They are split by the
-    parity of s: F[s, e] is tables[s % 2][..., s // 2, :, e // 2, :], so the
-    runs of starts and ends a recursion step reads are plain slices."""
-    tables = []
-    for parity in (0, 1):
-        count = (n - parity) // 2 + 1
-        table = np.zeros(lead + (count, bond, count, bond), dtype=complex)
-        table[..., np.arange(count), :, np.arange(count), :] = np.eye(bond)
-        tables.append(table)
-    return tables
-
-
-def _block_dp(sites: np.ndarray, flip: np.ndarray, alphas: list) -> complex:
+def _block_dp(ring: _Ring, flip: np.ndarray, alphas: list) -> complex:
     """Sum over the even-block non-crossing partitions of the ring's positions.
 
     A block of 2j elements weighs alphas[j-1] and carries one letter l; its
     elements of even rank (counted from 0) use leg l and those of odd rank
     leg flip[l].  F[i, e] sums the partitions of positions i..e-1, which
     vanishes unless e - i is even.  Going back from the last position, H
-    holds the open block of i by letter and last element, every gap filled,
-    and B the weighted closed blocks.  An element of rank t sits at a
-    distance from i of the parity of t, and only the letters whose leg at i
-    is nonzero open a block.
+    holds the open block of i by letter and boundary after its last element,
+    every gap filled, and B the weighted closed blocks.
     """
-    n, bond, _, _ = sites.shape
-    legs = (sites.transpose(2, 0, 1, 3), sites[:, :, flip, :].transpose(2, 0, 1, 3))
-    F = _interval_tables(n, bond)
+    n, at, bond = ring.n, ring.at, ring.bond
+    F = [np.eye(size, dtype=complex) for size in ring.size]
     for i in range(n - 1, -1, -1):
-        live = np.flatnonzero(sites[i].any(axis=(0, 2)))
-        ne, no = len(range(i, n, 2)), len(range(i + 1, n, 2))
-        same, other, a, b = F[i % 2], F[1 - i % 2], i // 2, (i + 1) // 2
-        # gaps[t % 2][(p, b), (q, c)] = F[p + 1, q][b, c]: from rank t-1 at p to rank t at q
-        gaps = (same[a + 1:a + 1 + no, :, a:a + ne, :].reshape(no * bond, ne * bond),
-                other[b:b + ne, :, b:b + no, :].reshape(ne * bond, no * bond))
-        H = np.zeros((len(live), bond, ne, bond), dtype=complex)
-        H[:, :, 0, :] = legs[0][live, i]
-        B = np.zeros((bond, no, bond), dtype=complex)
-        for t in range(1, 2 * len(alphas)):
-            at, count = (slice(i + 1, n, 2), no) if t % 2 else (slice(i, n, 2), ne)
-            G = (H.reshape(len(live), bond, H.shape[2] * bond) @ gaps[t % 2]).reshape(
-                len(live), bond, count, bond)
-            H = (G.transpose(0, 2, 1, 3) @ legs[t % 2][live, at]).transpose(0, 2, 1, 3)
+        legs, live = ring.legs[i % (2 * ring.d)], ring.live[i % (2 * ring.d)]
+        if not len(live):
+            continue
+        same = F[i % 2]
+        H = np.zeros((len(live), bond[i], ring.size[1 - i % 2] - at[i + 1]), dtype=complex)
+        H[..., :bond[i + 1]] = legs[live]
+        B = np.zeros((bond[i], ring.size[i % 2] - at[i + 2]), dtype=complex)
+        # H spans the boundaries from h = i + t: its element of rank t - 1
+        # ends at or after h - 1, so no element of rank t fits once h reaches n
+        for h in range(i + 1, min(i + 2 * len(alphas), n)):
+            t = h - i
+            H = ring.step(H @ F[h % 2][at[h]:, at[h]:], h, flip[live] if t % 2 else live)
             if t % 2 and alphas[t // 2]:
-                B += alphas[t // 2] * H.sum(axis=0)
-        rest = same[a + 1:a + 1 + no, :, a + 1:a + 1 + no, :].reshape(no * bond, no * bond)
-        same[a, :, a + 1:a + 1 + no, :] = (B.reshape(bond, no * bond) @ rest).reshape(
-            bond, no, bond)
-    return complex(np.trace(F[0][0, :, n // 2, :]))
+                B[:, at[h + 1] - at[i + 2]:] += alphas[t // 2] * H.sum(axis=0)
+        same[at[i]:at[i] + bond[i], at[i + 2]:] = B @ same[at[i + 2]:, at[i + 2]:]
+    return complex(np.trace(F[0][:bond[0], at[n]:at[n] + bond[n]]))
 
 
-def _tree_dp(sites: np.ndarray, flip: np.ndarray) -> complex:
+def _tree_dp(ring: _Ring, flip: np.ndarray) -> complex:
     """The Haar moment as a sum over reductions of the word to the identity.
 
     Kesten's first-return decomposition: the letter l of the first position
@@ -419,26 +469,23 @@ def _tree_dp(sites: np.ndarray, flip: np.ndarray) -> complex:
     letter below them (c = letters: nothing below).  Every term has weight
     1, so nothing cancels between partitions.
     """
-    n, bond, letters, _ = sites.shape
+    n, at, bond = ring.n, ring.at, ring.bond
+    letters = ring.legs[0].shape[0]
     contexts = letters + 1
     allowed = (np.arange(contexts)[:, None] != np.arange(letters)).astype(complex)
-    opening = sites.transpose(2, 0, 1, 3)
-    closing = sites[:, :, flip, :].transpose(2, 0, 1, 3)
-    F = _interval_tables(n, bond, (contexts,))
+    F = [np.tile(np.eye(size, dtype=complex), (contexts, 1, 1)) for size in ring.size]
     for i in range(n - 1, -1, -1):
-        live = np.flatnonzero(sites[i].any(axis=(0, 2)))
-        nl, no = len(live), len(range(i + 1, n, 2))
-        same, other, a, b = F[i % 2], F[1 - i % 2], i // 2, (i + 1) // 2
-        # pair[l, q] = opening[l, i] F[flip l][i + 1, q] closing[l, q], q = i+1, i+3, ..
-        inner = other[flip[live], b, :, b:b + no, :].reshape(nl, bond, no * bond)
-        pair = ((opening[live, i] @ inner).reshape(nl, bond, no, bond).transpose(0, 2, 1, 3)
-                @ closing[live, i + 1:n:2])
-        first = (allowed[:, live] @ pair.reshape(nl, no * bond * bond)).reshape(
-            contexts, no, bond, bond).transpose(0, 2, 1, 3).reshape(contexts, bond, no * bond)
-        rest = same[:, a + 1:a + 1 + no, :, a + 1:a + 1 + no, :].reshape(
-            contexts, no * bond, no * bond)
-        same[:, a, :, a + 1:a + 1 + no, :] = (first @ rest).reshape(contexts, bond, no, bond)
-    return complex(np.trace(F[0][letters, 0, :, n // 2, :]))
+        legs, live = ring.legs[i % (2 * ring.d)], ring.live[i % (2 * ring.d)]
+        if not len(live):
+            continue
+        same, j = F[i % 2], i + 1
+        # pair[l, .., q + 1] = leg l at i, F[flip l][i + 1, q], leg flip l at q
+        inner = F[j % 2][flip[live], at[j]:at[j] + bond[j], at[j]:]
+        pair = ring.step(legs[live] @ inner, j, flip[live])
+        first = (allowed[:, live] @ pair.reshape(len(live), -1)).reshape(
+            (contexts,) + pair.shape[1:])
+        same[:, at[i]:at[i] + bond[i], at[i + 2]:] = first @ same[:, at[i + 2]:, at[i + 2]:]
+    return complex(np.trace(F[0][letters, :bond[0], at[n]:at[n] + bond[n]]))
 
 
 def planar_sum(a, spec: CumulantSpec, m: int) -> complex:
@@ -449,31 +496,42 @@ def planar_sum(a, spec: CumulantSpec, m: int) -> complex:
     alternate stars; a plain family under the semicircle takes its own
     alphabet and pairs only.  The Haar preset takes the tree form, the others
     the block recursion with alpha_{s/2} per block of s elements.
-    Raises ValueError past MOMENT_DP_CAP, before any work, and for presets
-    without a determining sequence on star families.
+    Raises ValueError when the entries the recursion would hold exceed
+    MOMENT_DP_CAP, before any work, and for presets without a determining
+    sequence on star families.
     """
     d = a.d
     star = isinstance(a, StarCoefficientFamily)
     letters = 2 * a.r if star else a.r
-    n, bond = 2 * d * m, a.alpha * letters ** (d // 2)
-    if n * bond > MOMENT_DP_CAP:
-        raise ValueError("moment recursion size 2dm * bond = %d * %d exceeds MOMENT_DP_CAP = %d"
-                         % (n, bond, MOMENT_DP_CAP))
+    pairs_only = spec.kind == "semicircle" and not star
+    width = letters if star or pairs_only else 2 * letters
+    sizes = _table_sizes(d, m, a.alpha, letters)
+    tables = sizes[0] ** 2 + sizes[1] ** 2
+    if spec.kind == "haar":
+        entries = (width + 1) * tables  # one pair of tables per letter context
+    else:
+        # a step holds up to four arrays like the open blocks H (H, its
+        # product with a table, a class of columns of that and its image),
+        # each a table wide for every letter and row of the largest bond
+        entries = tables + 4 * width * _bond(d // 2, d, a.alpha, letters) * max(sizes)
+    if entries > MOMENT_DP_CAP:
+        raise ValueError("moment recursion needs %d complex entries (%d letters, interval "
+                         "tables of side %d and %d), past MOMENT_DP_CAP = %d"
+                         % (entries, width, sizes[0], sizes[1], MOMENT_DP_CAP))
     if star:
         groups = tuple(_merge_letters(t, d) for t in _star_group_tensors(a))
     else:
         groups = (a.dense(), _tilde_star_tensor(a.dense(), d))
-    if spec.kind == "semicircle" and not star:
-        sites = _ring_sites(groups, m, bond, star_legs=False)
-        return _block_dp(sites, np.arange(letters), [1])
-    sites = _ring_sites(groups, m, bond, star_legs=not star)
-    flip = np.arange(sites.shape[2]) ^ 1
+    ring = _Ring(groups, m, star_legs=width > letters)
+    if pairs_only:
+        return _block_dp(ring, np.arange(width), [1])
+    flip = np.arange(width) ^ 1
     if spec.kind == "haar":
-        return _tree_dp(sites, flip)
-    alphas = [complex(x) for x in spec.determining(n // 2)]
+        return _tree_dp(ring, flip)
+    alphas = [complex(x) for x in spec.determining(d * m)]
     while alphas and not alphas[-1]:
         alphas.pop()
-    return _block_dp(sites, flip, alphas)
+    return _block_dp(ring, flip, alphas)
 
 
 def _real_part(total: complex, what: str) -> float:
@@ -483,13 +541,37 @@ def _real_part(total: complex, what: str) -> float:
     return total.real
 
 
-def _moment_value(a, total: complex, m: int) -> float:
-    """The real part of a moment sum, clamped at 0 within rounding of the
-    scale ||a||_2^(2m); a clearly negative power raises ArithmeticError."""
-    value = _real_part(total, "moment sum")
-    if value < -ABS_TOL * max(1.0, a.frobenius_sq() ** m):
+def _unit_moment(a, moment_sum) -> tuple:
+    """(the moment of a / ||a||_2, ||a||_2^2), from moment_sum(family).
+
+    The moment is homogeneous of degree 2m, so it is summed at unit norm,
+    where its size no longer grows like ||a||_2^(2m).  The real part is
+    clamped at 0 within rounding of that unit scale; a clearly negative
+    value raises ArithmeticError.
+    """
+    scale = a.frobenius_sq()
+    value = _real_part(moment_sum(a.scaled(1 / math.sqrt(scale)) if scale else a),
+                       "moment sum")
+    if value < -ABS_TOL:
         raise ArithmeticError("norm power is negative: %g" % value)
-    return max(value, 0.0)
+    return max(value, 0.0), scale
+
+
+def _rescaled(value: float, scale: float, m: int) -> float:
+    """value * scale^m; math.inf past the float range."""
+    try:
+        return value * scale ** m
+    except OverflowError:  # scale^m alone is past the float range
+        pass
+    try:
+        return math.exp(math.log(value) + m * math.log(scale)) if value else 0.0
+    except OverflowError:
+        return math.inf
+
+
+def _norm_2m(value: float, scale: float, m: int) -> float:
+    """The 2m-norm from the unit-norm moment value and scale = ||a||_2^2."""
+    return math.sqrt(scale) * value ** (1.0 / (2 * m))
 
 
 def _weighted_sum(members, weight_of, trace_of) -> complex:
@@ -502,27 +584,32 @@ def _weighted_sum(members, weight_of, trace_of) -> complex:
     return total
 
 
+def _holo_sum(a: CoefficientFamily, spec: CumulantSpec, m: int) -> complex:
+    if spec.kind != "star_table":
+        # every star-family block alternates stars, so the semicircle's
+        # pairs weigh exactly what the circular cumulants do
+        return planar_sum(a, CumulantSpec.circular() if spec.kind == "semicircle" else spec, m)
+    word = holo_word(a.d, m)
+    return _weighted_sum(enumerate_ncstar(GridShape(a.d, m)),
+                         lambda p: kappa_pi(spec, p, word),
+                         lambda p: trace_sum_complex(a, p))
+
+
 def holo_moment(a: CoefficientFamily, spec: CumulantSpec, m: int) -> float:
     """The 2m-th moment power: cumulant-weighted trace sums over the star family.
 
     The R-diagonal presets take planar_sum: their cumulants vanish on every
-    non-crossing partition outside the star family.  The semicircle and
-    star_table hooks weigh blocks that do not alternate, so they keep the
-    enumerated star-family sum.
+    non-crossing partition outside the star family.  On that family the
+    semicircle weighs every block as the circular preset does, so it takes
+    planar_sum too; only the star_table hook keeps the enumerated sum.
+    The sum runs at unit norm; past the float range the power is math.inf.
     """
-    if spec.kind in ("semicircle", "star_table"):
-        word = holo_word(a.d, m)
-        total = _weighted_sum(enumerate_ncstar(GridShape(a.d, m)),
-                              lambda p: kappa_pi(spec, p, word),
-                              lambda p: trace_sum_complex(a, p))
-    else:
-        total = planar_sum(a, spec, m)
-    return _moment_value(a, total, m)
+    return _rescaled(*_unit_moment(a, lambda unit: _holo_sum(unit, spec, m)), m)
 
 
 def holo_norm_2m(a: CoefficientFamily, spec: CumulantSpec, m: int) -> float:
     """Exact 2m-norm of sum_k a_k (x) c_{k_1}..c_{k_d} for R-diagonal presets."""
-    return holo_moment(a, spec, m) ** (1.0 / (2 * m))
+    return _norm_2m(*_unit_moment(a, lambda unit: _holo_sum(unit, spec, m)), m)
 
 
 def ml_norms(a, m: int = None) -> list:
@@ -565,6 +652,23 @@ def _check_adjacent_support(a: CoefficientFamily) -> None:
                 "offending tuple %r" % (key,))
 
 
+def _nonholo_sum(a, spec: CumulantSpec, m: int) -> complex:
+    if isinstance(a, StarCoefficientFamily) or spec.kind == "semicircle":
+        return planar_sum(a, spec, m)
+    word = plain_word(2 * a.d * m)
+    return _weighted_sum(enumerate_ncdm(GridShape(a.d, m)),
+                         lambda p: kappa_pi(spec, p, word),
+                         lambda p: trace_sum_complex(a, p))
+
+
+def _nonholo_unit_moment(a, spec: CumulantSpec, m: int) -> tuple:
+    if not isinstance(a, StarCoefficientFamily):
+        if spec.kind not in ("semicircle", "star_table"):
+            raise ValueError("plain families pair with self-adjoint presets")
+        _check_adjacent_support(a)
+    return _unit_moment(a, lambda unit: _nonholo_sum(unit, spec, m))
+
+
 def nonholo_moment(a, spec: CumulantSpec, m: int) -> float:
     """The 2m-th moment power over the interval-avoiding family.
 
@@ -573,25 +677,13 @@ def nonholo_moment(a, spec: CumulantSpec, m: int) -> float:
     on reduced words.  On these supports every non-crossing partition that
     links an interval to itself contributes 0, so planar_sum gives the
     family's sum; only the star_table hook on plain families enumerates it.
+    The sum runs at unit norm; past the float range the power is math.inf.
     """
-    if isinstance(a, StarCoefficientFamily):
-        total = planar_sum(a, spec, m)
-    else:
-        if spec.kind not in ("semicircle", "star_table"):
-            raise ValueError("plain families pair with self-adjoint presets")
-        _check_adjacent_support(a)
-        if spec.kind == "semicircle":
-            total = planar_sum(a, spec, m)
-        else:
-            word = plain_word(2 * a.d * m)
-            total = _weighted_sum(enumerate_ncdm(GridShape(a.d, m)),
-                                  lambda p: kappa_pi(spec, p, word),
-                                  lambda p: trace_sum_complex(a, p))
-    return _moment_value(a, total, m)
+    return _rescaled(*_nonholo_unit_moment(a, spec, m), m)
 
 
 def nonholo_norm_2m(a, spec: CumulantSpec, m: int) -> float:
-    return nonholo_moment(a, spec, m) ** (1.0 / (2 * m))
+    return _norm_2m(*_nonholo_unit_moment(a, spec, m), m)
 
 
 def nonholo_rhs_bound(a, spec: CumulantSpec, m: int = None) -> float:

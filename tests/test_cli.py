@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -237,11 +239,29 @@ def test_norm_past_moment_dp_cap_exits_2(tmp_path, capsys):
     path = str(tmp_path / "one.txt")
     with open(path, "w") as fh:
         fh.write("1 1 1\n1 1,0\n")
-    m = MOMENT_DP_CAP // 2 + 1  # bond 1, so 2dm = 2m is the recursion size
+    # bond 1, m + 1 even and m odd boundaries, and the two letters (1, star)
+    # in the open-block arrays
+    m = 1
+    while (m + 1) ** 2 + m ** 2 + 4 * 2 * (m + 1) <= MOMENT_DP_CAP:
+        m += 1
     code, out, err = run(capsys, "norm", "--family-file", path, "--spec", "circular",
                          "--m", str(m))
     assert code == 2 and out == ""
     assert err.startswith("norm: ") and "MOMENT_DP_CAP" in err
+
+
+def test_norm_past_the_float_range_exits_0(tmp_path, capsys):
+    # ||a||_2^2 = 20, so the 512th moment power itself is past the float range
+    path = str(tmp_path / "big.txt")
+    with open(path, "w") as fh:
+        fh.write("1 1 1\n1 %r,0\n" % math.sqrt(20))
+    code, out, err = run(capsys, "norm", "--family-file", path, "--spec", "circular",
+                         "--m", "256")
+    assert code == 0, err
+    values = dict(line.split("=") for line in out.strip().splitlines())
+    expected = math.sqrt(20) * math.exp(math.log(math.comb(512, 256) // 257) / 512)
+    assert math.isclose(float(values["lhs_norm_2m"]), expected, rel_tol=1e-9)
+    assert float(values["ratio"]) <= 1  # the Schatten norms on the right stay finite too
 
 
 def test_norm_negative_moment_exits_2(tmp_path, monkeypatch, capsys):

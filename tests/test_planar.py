@@ -56,11 +56,6 @@ def _interval_sum(a, spec, m):
                          lambda p: trace_sum_complex(a, p))
 
 
-def _bond(a):
-    letters = 2 * a.r if isinstance(a, matrices.StarCoefficientFamily) else a.r
-    return a.alpha * letters ** (a.d // 2)
-
-
 def _close(value, expected):
     return abs(value - expected) <= DP_TOL * max(1.0, abs(expected))
 
@@ -90,10 +85,6 @@ def test_planar_sum_matches_star_family_sum(d, m):
     rng = np.random.default_rng(100 * d + m)
     for r, alpha in _sizes(d, m):
         a = random_family(d, r, alpha, rng)
-        if 2 * d * m * _bond(a) > MOMENT_DP_CAP:
-            with pytest.raises(ValueError, match="MOMENT_DP_CAP"):
-                planar_sum(a, SPECS["circular"], m)
-            continue
         for name, spec in SPECS.items():
             expected = _star_family_sum(a, spec, m)
             assert _close(planar_sum(a, spec, m), expected), (name, r, alpha)
@@ -111,20 +102,12 @@ def test_planar_sum_matches_interval_sum(d, m):
     rng = np.random.default_rng(200 * d + m)
     for r, alpha in _sizes(d, m):
         plain = random_adjacent_distinct_family(d, r, alpha, rng)
-        if 2 * d * m * _bond(plain) > MOMENT_DP_CAP:
-            with pytest.raises(ValueError, match="MOMENT_DP_CAP"):
-                planar_sum(plain, SEMI, m)
-        else:
-            assert _close(planar_sum(plain, SEMI, m), _interval_sum(plain, SEMI, m)), (r, alpha)
+        assert _close(planar_sum(plain, SEMI, m), _interval_sum(plain, SEMI, m)), (r, alpha)
         # past these the enumerated star sum itself fails (dense tensor, or
         # the trace-sum assignment cap)
         if (2 * r) ** d * alpha * alpha > 2 ** 14 or (2 * r) ** (d * m) > ASSIGNMENT_CAP:
             continue
         star = random_star_family(d, r, alpha, rng)
-        if 2 * d * m * _bond(star) > MOMENT_DP_CAP:
-            with pytest.raises(ValueError, match="MOMENT_DP_CAP"):
-                planar_sum(star, SPECS["circular"], m)
-            continue
         for name, spec in SPECS.items():
             expected = _interval_sum(star, spec, m)
             assert _close(planar_sum(star, spec, m), expected), (name, r, alpha)
@@ -165,8 +148,9 @@ def test_tree_form_against_free_group_at_d1_m32():
 
 
 def test_enumerated_hooks_keep_the_star_family_sum():
-    # semicircle and star_table weigh non-alternating blocks, which the full
-    # non-crossing sum would add; holo_moment keeps the star-family sum
+    # holo_moment sums the star family under every preset: the semicircle
+    # through the circular recursion (on that family its pairs weigh the
+    # same), star_table by enumeration
     rng = np.random.default_rng(600)
     table = CumulantSpec.star_table(lambda pattern: 1 if len(pattern) == 2 else 0.5)
     for d, m in [(1, 2), (1, 3), (2, 2), (3, 2)]:
@@ -176,20 +160,65 @@ def test_enumerated_hooks_keep_the_star_family_sum():
             assert math.isclose(holo_moment(a, spec, m), expected, rel_tol=1e-12)
 
 
+def _first_m_past_cap(entries_at):
+    m = 1
+    while entries_at(m) <= MOMENT_DP_CAP:
+        m += 1
+    return m
+
+
 def test_moment_dp_cap_checked_before_any_work(monkeypatch):
     def fail(*args):
         raise AssertionError("site tensors built past the cap")
 
     monkeypatch.setattr(matrices, "_split_group", fail)
-    a = random_family(2, 2, 2, np.random.default_rng(700))  # bond 4
-    m = MOMENT_DP_CAP // 16 + 1
-    for call in (lambda: holo_moment(a, SPECS["haar"], m),
-                 lambda: planar_sum(a, SPECS["circular"], m)):
+    a = random_family(2, 2, 2, np.random.default_rng(700))
+    # 4 letters (k, star); boundaries of bond 2 and 4 alternate, so the even
+    # ones sum to 4m + 2 (the last boundary included) and the odd ones to 8m.
+    # The tree form keeps 5 pairs of tables, the block recursion one pair
+    # and four arrays of 4 letters x bond 4 x 8m.
+    haar = _first_m_past_cap(lambda m: 5 * ((4 * m + 2) ** 2 + (8 * m) ** 2))
+    circular = _first_m_past_cap(lambda m: (4 * m + 2) ** 2 + (8 * m) ** 2 + 4 * 4 * 4 * 8 * m)
+    for call in (lambda: holo_moment(a, SPECS["haar"], haar),
+                 lambda: planar_sum(a, SPECS["haar"], haar),
+                 lambda: holo_moment(a, SPECS["circular"], circular),
+                 lambda: planar_sum(a, SPECS["rdiag"], circular)):
         with pytest.raises(ValueError, match="MOMENT_DP_CAP"):
             call()
     monkeypatch.setattr(matrices, "MOMENT_DP_CAP", 15)
     with pytest.raises(ValueError, match="MOMENT_DP_CAP"):
         holo_moment(a, SPECS["circular"], 1)
+
+
+def test_moment_dp_cap_counts_the_letters(monkeypatch):
+    # bond 1 everywhere, so only the 2r + 1 letter contexts make this large
+    monkeypatch.setattr(matrices, "_split_group", lambda g: pytest.fail("built past the cap"))
+    a = random_family(1, 30, 1, np.random.default_rng(701))
+    assert 8 * (501 ** 2 + 500 ** 2) <= MOMENT_DP_CAP < 61 * (501 ** 2 + 500 ** 2)
+    with pytest.raises(ValueError, match="MOMENT_DP_CAP"):
+        holo_moment(a, SPECS["haar"], 500)
+
+
+def test_cells_inside_the_old_caps_are_computed():
+    # the star family at d=6, m=1 over 4 letters: its middle bond is 2 * 4^3,
+    # but the other positions keep their own smaller bonds
+    star = random_star_family(6, 2, 2, np.random.default_rng(702))
+    assert nonholo_moment(star, SPECS["circular"], 1) > 0
+    plain = random_family(10, 2, 1, np.random.default_rng(703))
+    assert holo_moment(plain, SPECS["circular"], 1) > 0
+
+
+def test_moments_past_the_float_range_keep_a_finite_norm():
+    # the scalar family a = 20^(1/2) on one letter: X = a x, and both the
+    # circular and the semicircular 2m-th moment of x is Catalan(m)
+    m = 256
+    one = matrices.CoefficientFamily(1, 1, 1, {(1,): [[math.sqrt(20)]]})
+    norm = math.sqrt(20) * math.exp(math.log(math.comb(2 * m, m) // (m + 1)) / (2 * m))
+    assert math.isclose(matrices.holo_norm_2m(one, SPECS["circular"], m), norm, rel_tol=1e-10)
+    assert math.isclose(matrices.nonholo_norm_2m(one, SEMI, m), norm, rel_tol=1e-10)
+    assert holo_moment(one, SPECS["circular"], m) == math.inf
+    assert math.isclose(holo_moment(one, SPECS["circular"], 64),
+                        20 ** 64 * (math.comb(128, 64) // 65), rel_tol=1e-10)
 
 
 def test_negative_moment_raises_in_both_functions(monkeypatch):
