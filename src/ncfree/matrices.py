@@ -15,9 +15,11 @@ partition, and `planar_sum` evaluates it without enumerating any: each
 group tensor is split into d site tensors, and an interval recursion over
 the 2dm positions (the block of the first position closes at some q, the
 gaps and the rest are smaller intervals) sums the planar contraction in
-polynomial time.  Only the star_table hook still sums `_weighted_sum` over
-an enumerated family.  Moments are summed for the family scaled to unit
-norm and scaled back.  Operator norms are exact dense SVD norms.
+polynomial time.  The star_table hook, and the few large-d cells past
+MOMENT_DP_CAP but within the old enumeration caps, still sum
+`_weighted_sum` over an enumerated family.  Moments are summed for the
+family scaled to unit norm and scaled back.  Operator norms are exact
+dense SVD norms.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import numpy as np
 
 from .partitions import Partition
 from .symmetry import GridShape
+from . import families
 from .families import enumerate_ncstar, enumerate_ncdm
 from .cumulants import (
     CumulantSpec,
@@ -41,6 +44,7 @@ from .cumulants import (
     holo_word,
     kappa_pi,
     plain_word,
+    rdiag_block_weight,
 )
 
 ASSIGNMENT_CAP = 10_000_000
@@ -488,6 +492,23 @@ def _tree_dp(ring: _Ring, flip: np.ndarray) -> complex:
     return complex(np.trace(F[0][letters, :bond[0], at[n]:at[n] + bond[n]]))
 
 
+def _recursion_size(a, spec: CumulantSpec, m: int) -> int:
+    """The complex entries planar_sum holds at once: its two interval
+    tables, times the letter contexts in the tree form, or plus the arrays
+    of open blocks in the block recursion."""
+    d, star = a.d, isinstance(a, StarCoefficientFamily)
+    letters = 2 * a.r if star else a.r
+    width = letters if star or spec.kind == "semicircle" else 2 * letters
+    sizes = _table_sizes(d, m, a.alpha, letters)
+    tables = sizes[0] ** 2 + sizes[1] ** 2
+    if spec.kind == "haar":
+        return (width + 1) * tables
+    # a step holds up to four arrays like the open blocks H (H, its product
+    # with a table, a class of columns of that and its image), each a table
+    # wide for every letter and row of the largest bond
+    return tables + 4 * width * _bond(d // 2, d, a.alpha, letters) * max(sizes)
+
+
 def planar_sum(a, spec: CumulantSpec, m: int) -> complex:
     """The moment Tr (x) phi((X X*)^m) as one planar contraction.
 
@@ -496,28 +517,18 @@ def planar_sum(a, spec: CumulantSpec, m: int) -> complex:
     alternate stars; a plain family under the semicircle takes its own
     alphabet and pairs only.  The Haar preset takes the tree form, the others
     the block recursion with alpha_{s/2} per block of s elements.
-    Raises ValueError when the entries the recursion would hold exceed
-    MOMENT_DP_CAP, before any work, and for presets without a determining
-    sequence on star families.
+    Raises ValueError when _recursion_size exceeds MOMENT_DP_CAP, before any
+    work, and for presets without a determining sequence on star families.
     """
+    entries = _recursion_size(a, spec, m)
+    if entries > MOMENT_DP_CAP:
+        raise ValueError("moment recursion needs %d complex entries, past MOMENT_DP_CAP = %d"
+                         % (entries, MOMENT_DP_CAP))
     d = a.d
     star = isinstance(a, StarCoefficientFamily)
     letters = 2 * a.r if star else a.r
     pairs_only = spec.kind == "semicircle" and not star
     width = letters if star or pairs_only else 2 * letters
-    sizes = _table_sizes(d, m, a.alpha, letters)
-    tables = sizes[0] ** 2 + sizes[1] ** 2
-    if spec.kind == "haar":
-        entries = (width + 1) * tables  # one pair of tables per letter context
-    else:
-        # a step holds up to four arrays like the open blocks H (H, its
-        # product with a table, a class of columns of that and its image),
-        # each a table wide for every letter and row of the largest bond
-        entries = tables + 4 * width * _bond(d // 2, d, a.alpha, letters) * max(sizes)
-    if entries > MOMENT_DP_CAP:
-        raise ValueError("moment recursion needs %d complex entries (%d letters, interval "
-                         "tables of side %d and %d), past MOMENT_DP_CAP = %d"
-                         % (entries, width, sizes[0], sizes[1], MOMENT_DP_CAP))
     if star:
         groups = tuple(_merge_letters(t, d) for t in _star_group_tensors(a))
     else:
@@ -584,11 +595,21 @@ def _weighted_sum(members, weight_of, trace_of) -> complex:
     return total
 
 
+def _enumerate_instead(a, spec: CumulantSpec, m: int, enumeration_cap: int) -> bool:
+    """Whether a moment past MOMENT_DP_CAP is still within the enumeration
+    cap of its family.  The large-d cells there have dense tensors small
+    enough for the member-by-member sum but interval tables too large."""
+    return 2 * a.d * m <= enumeration_cap and _recursion_size(a, spec, m) > MOMENT_DP_CAP
+
+
 def _holo_sum(a: CoefficientFamily, spec: CumulantSpec, m: int) -> complex:
-    if spec.kind != "star_table":
+    if spec.kind == "semicircle":
         # every star-family block alternates stars, so the semicircle's
         # pairs weigh exactly what the circular cumulants do
-        return planar_sum(a, CumulantSpec.circular() if spec.kind == "semicircle" else spec, m)
+        spec = CumulantSpec.circular()
+    if spec.kind != "star_table" and not _enumerate_instead(
+            a, spec, m, families.STAR_ENUMERATION_CAP):
+        return planar_sum(a, spec, m)
     word = holo_word(a.d, m)
     return _weighted_sum(enumerate_ncstar(GridShape(a.d, m)),
                          lambda p: kappa_pi(spec, p, word),
@@ -601,8 +622,9 @@ def holo_moment(a: CoefficientFamily, spec: CumulantSpec, m: int) -> float:
     The R-diagonal presets take planar_sum: their cumulants vanish on every
     non-crossing partition outside the star family.  On that family the
     semicircle weighs every block as the circular preset does, so it takes
-    planar_sum too; only the star_table hook keeps the enumerated sum.
-    The sum runs at unit norm; past the float range the power is math.inf.
+    planar_sum too.  The star_table hook, and a moment past MOMENT_DP_CAP
+    but within the star-family cap, keep the enumerated sum.  The sum runs
+    at unit norm; past the float range the power is math.inf.
     """
     return _rescaled(*_unit_moment(a, lambda unit: _holo_sum(unit, spec, m)), m)
 
@@ -653,11 +675,16 @@ def _check_adjacent_support(a: CoefficientFamily) -> None:
 
 
 def _nonholo_sum(a, spec: CumulantSpec, m: int) -> complex:
-    if isinstance(a, StarCoefficientFamily) or spec.kind == "semicircle":
+    star = isinstance(a, StarCoefficientFamily)
+    if (star or spec.kind == "semicircle") and not _enumerate_instead(
+            a, spec, m, families.INTERVAL_ENUMERATION_CAP):
         return planar_sum(a, spec, m)
+    members = enumerate_ncdm(GridShape(a.d, m))
+    if star:
+        return _weighted_sum(members, lambda p: rdiag_block_weight(spec, p),
+                             lambda p: trace_sum_star_complex(a, p))
     word = plain_word(2 * a.d * m)
-    return _weighted_sum(enumerate_ncdm(GridShape(a.d, m)),
-                         lambda p: kappa_pi(spec, p, word),
+    return _weighted_sum(members, lambda p: kappa_pi(spec, p, word),
                          lambda p: trace_sum_complex(a, p))
 
 
@@ -676,8 +703,9 @@ def nonholo_moment(a, spec: CumulantSpec, m: int) -> float:
     equal neighbours; R-diagonal presets pair with a star family supported
     on reduced words.  On these supports every non-crossing partition that
     links an interval to itself contributes 0, so planar_sum gives the
-    family's sum; only the star_table hook on plain families enumerates it.
-    The sum runs at unit norm; past the float range the power is math.inf.
+    family's sum.  The star_table hook on plain families, and a moment past
+    MOMENT_DP_CAP but within the interval-family cap, enumerate it.  The
+    sum runs at unit norm; past the float range the power is math.inf.
     """
     return _rescaled(*_nonholo_unit_moment(a, spec, m), m)
 

@@ -187,7 +187,7 @@ def test_moment_dp_cap_checked_before_any_work(monkeypatch):
             call()
     monkeypatch.setattr(matrices, "MOMENT_DP_CAP", 15)
     with pytest.raises(ValueError, match="MOMENT_DP_CAP"):
-        holo_moment(a, SPECS["circular"], 1)
+        planar_sum(a, SPECS["circular"], 1)
 
 
 def test_moment_dp_cap_counts_the_letters(monkeypatch):
@@ -206,6 +206,25 @@ def test_cells_inside_the_old_caps_are_computed():
     assert nonholo_moment(star, SPECS["circular"], 1) > 0
     plain = random_family(10, 2, 1, np.random.default_rng(703))
     assert holo_moment(plain, SPECS["circular"], 1) > 0
+
+
+def test_past_the_cap_the_old_caps_still_enumerate(monkeypatch):
+    rng = np.random.default_rng(704)
+    plain = random_family(2, 2, 2, rng)
+    star = random_star_family(2, 2, 2, rng)
+    distinct = random_adjacent_distinct_family(2, 2, 2, rng)
+    cases = ([(holo_moment, plain, spec) for spec in (*SPECS.values(), SEMI)]
+             + [(nonholo_moment, star, spec) for spec in SPECS.values()]
+             + [(nonholo_moment, distinct, SEMI)])
+    expected = [moment(a, spec, 2) for moment, a, spec in cases]
+    monkeypatch.setattr(matrices, "MOMENT_DP_CAP", 0)
+    monkeypatch.setattr(matrices, "_split_group", lambda g: pytest.fail("recursion ran"))
+    for (moment, a, spec), value in zip(cases, expected):
+        assert math.isclose(moment(a, spec, 2), value, rel_tol=1e-12)
+    # past both caps, the error names the recursion's
+    for moment, a, m in ((holo_moment, plain, 7), (nonholo_moment, star, 6)):
+        with pytest.raises(ValueError, match="MOMENT_DP_CAP"):
+            moment(a, SPECS["circular"], m)
 
 
 def test_moments_past_the_float_range_keep_a_finite_norm():
