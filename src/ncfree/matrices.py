@@ -176,7 +176,7 @@ def build_Ml(a: CoefficientFamily, l: int) -> BlockMatrixView:
         raise ValueError("split %d outside 0..%d" % (l, a.d))
     rows = a.r ** l * a.alpha
     cols = a.r ** (a.d - l) * a.alpha
-    if max(rows, cols) > DIMENSION_CAP:
+    if min(rows, cols) > DIMENSION_CAP:
         raise ValueError("block matrix dimension exceeds cap %d" % DIMENSION_CAP)
     t = a.dense()
     # axes (k_1..k_d, i, j) -> (k_1..k_l, i, k_{l+1}..k_d, j)
@@ -190,7 +190,7 @@ def build_Ml_star(a: StarCoefficientFamily, l: int) -> BlockMatrixView:
         raise ValueError("split %d outside 0..%d" % (l, a.d))
     rows = (2 * a.r) ** l * a.alpha
     cols = (2 * a.r) ** (a.d - l) * a.alpha
-    if max(rows, cols) > DIMENSION_CAP:
+    if min(rows, cols) > DIMENSION_CAP:
         raise ValueError("block matrix dimension exceeds cap %d" % DIMENSION_CAP)
     t = a.dense()
     d = a.d
@@ -207,11 +207,12 @@ def _matrix_of(M) -> np.ndarray:
 
 
 def schatten_pow(M, m: int) -> float:
-    """Tr((M^* M)^m), by repeated matrix multiplication."""
+    """Tr((M^* M)^m), by repeated matrix multiplication of the Gram matrix
+    on the smaller side (Tr((M^* M)^m) = Tr((M M^*)^m))."""
     if m < 1:
         raise ValueError("need m >= 1")
     mat = _matrix_of(M)
-    gram = mat.conj().T @ mat
+    gram = mat @ mat.conj().T if mat.shape[0] < mat.shape[1] else mat.conj().T @ mat
     power = gram
     for _ in range(m - 1):
         power = power @ gram

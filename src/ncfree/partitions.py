@@ -253,10 +253,21 @@ def collapse_pairs(p: Partition) -> Partition:
     Two images k, l are related whenever any preimages are related in p,
     closed transitively (union-find).
     """
+    find, _ = _collapse_forest(p)
+    m = p.n // 2
+    groups = {}
+    for k in range(1, m + 1):
+        groups.setdefault(find(k), []).append(k)
+    # groups open at their minimum and fill in ascending order: canonical
+    return Partition._trusted(m, tuple(tuple(g) for g in groups.values()))
+
+
+def _collapse_forest(p: Partition) -> tuple:
+    """Union-find of collapse_pairs: its find function and number of merges,
+    so that collapse_pairs(p) has m minus that many blocks."""
     if p.n % 2 != 0:
         raise ValueError("ground size must be even, got %d" % p.n)
-    m = p.n // 2
-    parent = list(range(m + 1))
+    parent = list(range(p.n // 2 + 1))
 
     def find(x):
         while parent[x] != x:
@@ -264,16 +275,15 @@ def collapse_pairs(p: Partition) -> Partition:
             x = parent[x]
         return x
 
+    merges = 0
     for b in p.blocks:
         root = find((b[0] + 1) // 2)
         for x in b[1:]:
             r = find((x + 1) // 2)
             if r != root:
                 parent[r] = root
-    groups = {}
-    for k in range(1, m + 1):
-        groups.setdefault(find(k), []).append(k)
-    return Partition(m, list(groups.values()))
+                merges += 1
+    return find, merges
 
 
 def count_adjacent_pairs(p: Partition, cyclic: bool = True) -> int:

@@ -7,12 +7,20 @@ crossed the cut.  Iterating these maps drives every admissible partition
 into a small family of fully symmetric terminal partitions; the block count
 of the pair-collapsed partition is conserved on average, which yields exact
 absorption probabilities for the induced Markov chain.
+
+Symmetrizations are built directly in canonical form, and collapsed block
+counts are read off the union-find merges without building the collapsed
+partition.  Absorption probabilities come from Gauss-Jordan elimination of
+the chain's equations, scaled by 2m to integers, on sparse rows over
+Python integers (each row kept divided by the gcd of its entries), so they
+are exact Fractions without Fraction arithmetic in the solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Dict, Tuple
 
 from .partitions import (
@@ -23,7 +31,7 @@ from .partitions import (
     full,
     interval_pairing,
     is_noncrossing,
-    collapse_pairs,
+    _collapse_forest,
     restrict,
     shifted_pairing,
 )
@@ -101,20 +109,23 @@ def symmetrize(p: Partition, k: int) -> Partition:
     if p.n % 2 != 0:
         raise ValueError("ground size must be even, got %d" % p.n)
     n = p.n
+    half = n // 2
     k = cyclic_index(k, n)
-    inside = half_interval(k, n)
     blocks = []
     for v in p.blocks:
-        kept = [x for x in v if x in inside]
+        # x lies in half_interval(k, n) iff it is k - j for some 0 <= j < half
+        kept = [x for x in v if (k - x) % n < half]
         if not kept:
             continue
-        mirror = [cyclic_index(2 * k + 1 - x, n) for x in kept]
+        mirror = [(2 * k - x) % n + 1 for x in kept]
         if len(kept) == len(v):
             blocks.append(tuple(kept))
-            blocks.append(tuple(mirror))
+            blocks.append(tuple(sorted(mirror)))
         else:
-            blocks.append(tuple(kept) + tuple(mirror))
-    return Partition(n, blocks)
+            blocks.append(tuple(sorted(kept + mirror)))
+    # the kept parts tile the half and their mirrors tile the other half
+    blocks.sort()
+    return Partition._trusted(n, tuple(blocks))
 
 
 @dataclass(frozen=True, order=True)
@@ -221,7 +232,12 @@ def _require_even_nc(p: Partition) -> None:
 def collapse_block_count(p: Partition) -> int:
     """Block count of the pair-collapsed partition (even-block NC input)."""
     _require_even_nc(p)
-    return collapse_pairs(p).num_blocks
+    return _collapsed_count(p)
+
+
+def _collapsed_count(p: Partition) -> int:
+    """collapse_pairs(p).num_blocks, counted without building the partition."""
+    return p.n // 2 - _collapse_forest(p)[1]
 
 
 def check_collapse_martingale(p: Partition, k: int) -> Tuple[int, int]:
@@ -233,7 +249,7 @@ def check_collapse_martingale(p: Partition, k: int) -> Tuple[int, int]:
     right = symmetrize(p, cyclic_index(k + m, p.n))
     b_left = collapse_block_count(left)
     b_right = collapse_block_count(right)
-    if b_left + b_right != 2 * collapse_block_count(p):
+    if b_left + b_right != 2 * _collapsed_count(p):
         raise AssertionError(
             "block-count invariant violated at k=%d for %s" % (k, format_partition(p))
         )
@@ -261,15 +277,38 @@ def absorption_probabilities(p: Partition, g: GridShape) -> Dict[TerminalKind, F
     """Exact absorption distribution of the uniform-cut symmetrization chain.
 
     One step picks i uniformly in {1..2m} and applies the symmetrization at
-    cut i*d.  The reachable state graph is finite; absorption probabilities
-    into each terminal are obtained by solving the linear system in rational
-    arithmetic.
+    cut i*d.  The reachable state graph is finite (at most
+    ABSORPTION_STATE_CAP transient states, checked before any solve).  The
+    absorption probabilities x solve x_s = mean of x over the 2m images of
+    s, an image in a terminal counting as that terminal's indicator; scaled
+    by 2m this is an integer system, eliminated exactly over Python
+    integers, so every probability is a Fraction.  Raises ValueError when
+    some reachable state cannot reach a terminal: the system is singular.
     """
     terminals = terminal_partitions(g)
     terminal_lookup = {part: kind for kind, part in terminals.items()}
-    cuts = [i * g.d for i in range(1, 2 * g.m + 1)]
+    kinds = sorted(terminals)
+    if p in terminal_lookup:
+        return {kind: Fraction(kind == terminal_lookup[p]) for kind in kinds}
+    states, rows = _absorption_system(p, g, terminal_lookup, kinds)
+    solution = _solve_integer_system(rows, len(states), len(kinds))
+    if solution is None:
+        raise ValueError("symmetrization chain from %s does not reach a terminal "
+                         "from every state it visits" % format_partition(p))
+    probs = solution[states.index(p)]
+    return {kind: probs[t] for t, kind in enumerate(kinds)}
 
-    # Breadth-first closure of the reachable states.
+
+def _absorption_system(p: Partition, g: GridShape, terminal_lookup: dict,
+                       kinds: list) -> tuple:
+    """Transient states reachable from p, sorted, and their equations.
+
+    Row s is a {column: int} dict holding the nonzero entries of 2m times
+    x_s - mean of x over the images of s: 2m at s, -1 per image in a
+    transient state, and +1 per image in a terminal in the right-hand
+    column len(states) + kinds.index(kind).
+    """
+    cuts = [i * g.d for i in range(1, 2 * g.m + 1)]
     succ = {}
     frontier = [p]
     while frontier:
@@ -282,39 +321,48 @@ def absorption_probabilities(p: Partition, g: GridShape) -> Dict[TerminalKind, F
             raise ValueError("reachable state graph exceeds cap %d" % ABSORPTION_STATE_CAP)
         frontier.extend(img for img in images if img not in succ)
 
-    kinds = sorted(terminals)
-    if p in terminal_lookup:
-        return {kind: Fraction(kind == terminal_lookup[p]) for kind in kinds}
-
-    # x_s = mean of x over images, images into terminals contribute constants.
     states = sorted(succ, key=format_partition)
-    index = {s: i for i, s in enumerate(states)}
     nstates = len(states)
-    weight = Fraction(1, 2 * g.m)
+    column = {s: i for i, s in enumerate(states)}
+    for part, kind in terminal_lookup.items():
+        column[part] = nstates + kinds.index(kind)
     rows = []
     for s in states:
-        row = [Fraction(0)] * nstates + [Fraction(0)] * len(kinds)
-        row[index[s]] += 1
+        row = {column[s]: len(cuts)}
         for img in succ[s]:
-            if img in terminal_lookup:
-                row[nstates + kinds.index(terminal_lookup[img])] += weight
-            else:
-                row[index[img]] -= weight
-        rows.append(row)
-    solution = _solve_fraction_system(rows, nstates, len(kinds))
-    probs = solution[index[p]]
-    return {kind: probs[t] for t, kind in enumerate(kinds)}
+            j = column[img]
+            row[j] = row.get(j, 0) + (1 if j >= nstates else -1)
+        rows.append({j: v for j, v in row.items() if v})
+    return states, rows
 
 
-def _solve_fraction_system(rows: list, nvars: int, nrhs: int) -> list:
-    """Gauss-Jordan over Fractions for [A | B]; returns A^{-1} B row-wise."""
+def _solve_integer_system(rows: list, nvars: int, nrhs: int):
+    """Gauss-Jordan on sparse integer rows [A | B] ({column: int} dicts,
+    columns nvars and up on the right).  Returns A^{-1} B row-wise as
+    Fractions, or None when A is singular.  Each updated row is divided by
+    the gcd of its entries, which keeps the integers small."""
+    rows = list(rows)  # updated rows are new dicts: the caller's stay intact
     for col in range(nvars):
-        pivot = next(r for r in range(col, nvars) if rows[r][col] != 0)
+        pivot = next((r for r in range(col, nvars) if rows[r].get(col)), None)
+        if pivot is None:
+            return None
         rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = rows[col][col]
-        rows[col] = [v / inv for v in rows[col]]
+        prow = rows[col]
+        a = prow[col]
         for r in range(nvars):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return [row[nvars:] for row in rows]
+            row = rows[r]
+            b = row.get(col)
+            if r == col or not b:
+                continue
+            new = {j: a * v for j, v in row.items() if j != col}
+            for j, v in prow.items():
+                if j != col:
+                    w = new.get(j, 0) - b * v
+                    if w:
+                        new[j] = w
+                    else:
+                        new.pop(j, None)
+            div = gcd(*new.values())
+            rows[r] = {j: v // div for j, v in new.items()} if div > 1 else new
+    return [[Fraction(row.get(j, 0), row[i]) for j in range(nvars, nvars + nrhs)]
+            for i, row in enumerate(rows)]

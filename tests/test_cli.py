@@ -287,3 +287,10 @@ def test_python_dash_m_runs_the_cli():
                            "--n", "3"], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0] == "experiment,params,value,bound,passed,residual"
+
+
+def test_verify_nonholo_with_column_shaped_block_matrices(capsys):
+    # at d=6, r=2, alpha=2 the star family's M_0 and M_6 are 2 x 8192
+    code, out, err = run(capsys, "verify", "--suite", "nonholo", "--d", "6", "--m", "1")
+    assert code == 0, err
+    assert out.splitlines()[-1].startswith('nonholo-selfadjoint,"d=6,m=1"')

@@ -573,3 +573,29 @@ def test_load_family_skips_indented_comments(tmp_path):
     assert set(b.entries) == set(c.entries)
     for key, mat in b.entries.items():
         assert np.array_equal(c.entries[key], mat)
+
+
+def test_schatten_norm_of_a_wide_matrix_equals_that_of_its_adjoint():
+    rng = np.random.default_rng(31)
+    wide = rng.standard_normal((3, 40)) + 1j * rng.standard_normal((3, 40))
+    for m in (1, 2, 3, 5):
+        assert math.isclose(schatten_norm(wide, m), schatten_norm(wide.conj().T, m),
+                            rel_tol=1e-12)
+
+
+def test_block_matrix_cap_is_on_the_smaller_side(monkeypatch):
+    from ncfree import matrices
+
+    plain = random_family(2, 2, 1, np.random.default_rng(32))
+    star = random_star_family(2, 1, 1, np.random.default_rng(33))
+    # M_0 is 1 x 4 and M_1 is 2 x 2, for both families
+    monkeypatch.setattr(matrices, "DIMENSION_CAP", 2)
+    for build, fam in ((build_Ml, plain), (build_Ml_star, star)):
+        assert build(fam, 0).matrix.shape == (1, 4)
+        assert build(fam, 2).matrix.shape == (4, 1)
+        assert build(fam, 1).matrix.shape == (2, 2)
+    monkeypatch.setattr(matrices, "DIMENSION_CAP", 1)
+    for build, fam in ((build_Ml, plain), (build_Ml_star, star)):
+        assert build(fam, 0).matrix.shape == (1, 4)
+        with pytest.raises(ValueError, match="exceeds cap 1"):
+            build(fam, 1)

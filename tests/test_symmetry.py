@@ -1,10 +1,13 @@
+import re
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from conftest import all_set_partitions, symmetrization_by_clauses
 
 from ncfree.partitions import (
+    Partition,
     discrete,
     enumerate_nc,
     full,
@@ -325,3 +328,84 @@ def test_absorption_probabilities_are_rational():
     assert all(isinstance(v, Fraction) for v in probs.values())
     # B profile forces (lambda_0 + lt_0, lambda_1 + lt_1) = (1/2, 1/2)
     assert probs[TerminalKind("level", 0)] == Fraction(1, 2)
+
+
+def _dense_fraction_solve(rows, nvars, nrhs):
+    """Reference solver: dense Gauss-Jordan over Fractions for [A | B];
+    returns A^{-1} B row-wise."""
+    for col in range(nvars):
+        pivot = next(r for r in range(col, nvars) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = rows[col][col]
+        rows[col] = [v / inv for v in rows[col]]
+        for r in range(nvars):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [row[nvars:] for row in rows]
+
+
+@pytest.mark.parametrize("d,m,members", [(2, 4, None), (1, 5, 20), (2, 5, 20)])
+def test_integer_solver_matches_dense_fraction_solve(d, m, members):
+    g = GridShape(d, m)
+    terminals = terminal_partitions(g)
+    lookup = {part: kind for kind, part in terminals.items()}
+    kinds = sorted(terminals)
+    systems = [symmetry._absorption_system(p, g, lookup, kinds)
+               for p in islice(enumerate_ncstar(g), members) if p not in lookup]
+    # a state's absorption probabilities do not depend on the closed system
+    # it is solved in, so the reference solves only the systems, largest
+    # first, that bring a state it has not solved yet
+    reference = {}
+    for states, rows in sorted(systems, key=lambda system: -len(system[0])):
+        if all(s in reference for s in states):
+            continue
+        width = len(states) + len(kinds)
+        dense = [[Fraction(row.get(j, 0)) for j in range(width)] for row in rows]
+        reference.update(zip(states, _dense_fraction_solve(dense, len(states), len(kinds))))
+    for states, rows in systems:
+        solution = symmetry._solve_integer_system(rows, len(states), len(kinds))
+        assert solution == [reference[s] for s in states]
+        assert all(isinstance(v, Fraction) for row in solution for v in row)
+
+
+def test_absorption_identity_frontier():
+    d, m = 2, 4
+    g = GridShape(d, m)
+    count = 0
+    for p in enumerate_ncstar(g):
+        probs = absorption_probabilities(p, g)
+        assert sum(probs.values()) == 1
+        prof = collapse_count_profile(p, g)
+        for l in range(d + 1):
+            lam = probs[TerminalKind("level", l)]
+            lam += probs.get(TerminalKind("glued", l), Fraction(0))
+            assert lam * (m - 1) == prof[l + 1] - prof[l]
+        count += 1
+    assert count == 285
+
+
+@pytest.mark.parametrize("text", ["1|2|3|4", "1,2,3|4", "1|2,3,4"])
+def test_absorption_without_a_reachable_terminal_raises(text):
+    g = GridShape(1, 2)
+    with pytest.raises(ValueError, match=re.escape(text)):
+        absorption_probabilities(parse_partition(text, 4), g)
+
+
+def test_absorption_of_a_crossing_partition_that_reaches_terminals():
+    g = GridShape(1, 2)
+    probs = absorption_probabilities(parse_partition("1,3|2,4", 4), g)
+    assert probs == {TerminalKind("level", 0): Fraction(1, 2),
+                     TerminalKind("level", 1): Fraction(1, 2),
+                     TerminalKind("glued", 1): Fraction(0)}
+
+
+def test_symmetrize_and_collapse_pairs_build_canonical_partitions():
+    for n in (2, 4, 6, 8):
+        for p in all_set_partitions(n):
+            collapsed = collapse_pairs(p)
+            assert collapsed == Partition(collapsed.n, collapsed.blocks)
+            assert symmetry._collapsed_count(p) == collapsed.num_blocks
+            for k in range(1, n + 1):
+                q = symmetrize(p, k)
+                assert q == Partition(n, q.blocks)
