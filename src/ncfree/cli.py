@@ -435,6 +435,10 @@ def cmd_verify(args) -> int:
         print("verify: unknown suite %r (choose from %s)"
               % (args.suite, ", ".join(sorted(SUITES))), file=sys.stderr)
         return 2
+    for option in ("n", "d", "m", "trials"):
+        if getattr(args, option) < 1:
+            print("verify: --%s must be a positive integer" % option, file=sys.stderr)
+            return 2
     try:
         report = SUITES[args.suite](args)
     except (ValueError, ArithmeticError) as exc:
@@ -449,6 +453,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_norm(args) -> int:
+    if args.m < 1:
+        print("norm: --m must be a positive integer", file=sys.stderr)
+        return 2
     try:
         fam = load_family(args.family_file)
         spec = CumulantSpec.from_name(args.spec)

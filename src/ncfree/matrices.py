@@ -6,9 +6,9 @@ arranges the family into a block matrix M_l; its Schatten powers are plain
 traces of matrix powers.  The central quantity is the trace sum of a
 partition: one free index per block, and the 2m groups of d positions
 contribute alternately the family and the conjugate-transpose of the
-index-reversed family.  The sums are evaluated as tensor contractions, one
-einsum per partition; for star families the block phases join the letters
-in a doubled alphabet of size 2r, so they too take one einsum per partition.
+index-reversed family.  The sums are contracted around the ring of groups,
+one two-operand einsum per group; for star families the block phases join
+the letters in a doubled alphabet of size 2r, so they take the same walk.
 
 A moment is a cumulant-weighted sum of trace sums over every non-crossing
 partition, and `planar_sum` evaluates it without enumerating any: each
@@ -252,16 +252,28 @@ def _tilde_star_tensor(t: np.ndarray, d: int) -> np.ndarray:
 
 
 def _contract(p: Partition, d: int, m: int, tensor_of) -> complex:
-    """One einsum over the block indices of p: group j (positions jd+1..jd+d)
-    contributes tensor_of(j), subscripted by the blocks of its positions and
-    by two matrix indices that chain the 2m groups into one trace."""
+    """The trace sum of p, contracted around the ring of its 2m groups.
+
+    Group j (positions jd+1..jd+d) contributes tensor_of(j), subscripted by
+    the blocks of its positions and by the two matrix indices it chains.
+    Walking the groups in ring order carries T[i0, i, blocks still open],
+    from eye(alpha): each group is one two-operand einsum, which sums out
+    every block whose last position lies in the group, and the result is
+    trace(T).  T holds at most alpha^2 r^(#blocks) entries, so the
+    assignment cap checked by the callers bounds it.
+    """
     nb = p.num_blocks
-    operands = []
+    last_group = [(max(b) - 1) // d for b in p.blocks]
+    first, here, nxt = nb, nb + 1, nb + 2
+    T = np.eye(tensor_of(0).shape[-1], dtype=complex)
+    open_blocks = []
     for j in range(2 * m):
         subs = [p.block_id(j * d + o + 1) for o in range(d)]
-        subs += [nb + j, nb + (j + 1) % (2 * m)]
-        operands.extend([tensor_of(j), subs])
-    return complex(np.einsum(*operands, [], optimize=True))
+        still_open = [b for b in dict.fromkeys(open_blocks + subs) if last_group[b] > j]
+        T = np.einsum(T, [first, here] + open_blocks, tensor_of(j), subs + [here, nxt],
+                      [first, nxt] + still_open)
+        open_blocks = still_open
+    return complex(np.trace(T))
 
 
 def trace_sum_complex(a: CoefficientFamily, p: Partition, cap: int = ASSIGNMENT_CAP) -> complex:
@@ -518,9 +530,12 @@ def planar_sum(a, spec: CumulantSpec, m: int) -> complex:
     alternate stars; a plain family under the semicircle takes its own
     alphabet and pairs only.  The Haar preset takes the tree form, the others
     the block recursion with alpha_{s/2} per block of s elements.
-    Raises ValueError when _recursion_size exceeds MOMENT_DP_CAP, before any
-    work, and for presets without a determining sequence on star families.
+    Raises ValueError for m < 1, when _recursion_size exceeds MOMENT_DP_CAP,
+    before any work, and for presets without a determining sequence on star
+    families.
     """
+    if m < 1:
+        raise ValueError("need m >= 1")
     entries = _recursion_size(a, spec, m)
     if entries > MOMENT_DP_CAP:
         raise ValueError("moment recursion needs %d complex entries, past MOMENT_DP_CAP = %d"
@@ -604,6 +619,8 @@ def _enumerate_instead(a, spec: CumulantSpec, m: int, enumeration_cap: int) -> b
 
 
 def _holo_sum(a: CoefficientFamily, spec: CumulantSpec, m: int) -> complex:
+    if m < 1:
+        raise ValueError("need m >= 1")
     if spec.kind == "semicircle":
         # every star-family block alternates stars, so the semicircle's
         # pairs weigh exactly what the circular cumulants do
@@ -625,7 +642,8 @@ def holo_moment(a: CoefficientFamily, spec: CumulantSpec, m: int) -> float:
     semicircle weighs every block as the circular preset does, so it takes
     planar_sum too.  The star_table hook, and a moment past MOMENT_DP_CAP
     but within the star-family cap, keep the enumerated sum.  The sum runs
-    at unit norm; past the float range the power is math.inf.
+    at unit norm; past the float range the power is math.inf.  Raises
+    ValueError for m < 1.
     """
     return _rescaled(*_unit_moment(a, lambda unit: _holo_sum(unit, spec, m)), m)
 
@@ -690,6 +708,8 @@ def _nonholo_sum(a, spec: CumulantSpec, m: int) -> complex:
 
 
 def _nonholo_unit_moment(a, spec: CumulantSpec, m: int) -> tuple:
+    if m < 1:
+        raise ValueError("need m >= 1")
     if not isinstance(a, StarCoefficientFamily):
         if spec.kind not in ("semicircle", "star_table"):
             raise ValueError("plain families pair with self-adjoint presets")
@@ -707,6 +727,7 @@ def nonholo_moment(a, spec: CumulantSpec, m: int) -> float:
     family's sum.  The star_table hook on plain families, and a moment past
     MOMENT_DP_CAP but within the interval-family cap, enumerate it.  The
     sum runs at unit norm; past the float range the power is math.inf.
+    Raises ValueError for m < 1.
     """
     return _rescaled(*_nonholo_unit_moment(a, spec, m), m)
 

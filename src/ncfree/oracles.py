@@ -69,6 +69,20 @@ class FockSpace:
         out[..., self._create_src[letter]] = vec[..., self._create_tgt[letter]]
         return out
 
+    def create_map(self, letter: int) -> np.ndarray:
+        """Index of the image of every basis word under creation by letter,
+        -1 where the word dies.  One more entry, -1 at index -1, keeps a dead
+        word dead when maps are composed."""
+        out = np.full(self.dimension + 1, -1, dtype=np.intp)
+        out[self._create_src[letter]] = self._create_tgt[letter]
+        return out
+
+    def annihilate_map(self, letter: int) -> np.ndarray:
+        """As create_map, for annihilation by letter."""
+        out = np.full(self.dimension + 1, -1, dtype=np.intp)
+        out[self._create_tgt[letter]] = self._create_src[letter]
+        return out
+
 
 class _FamilyOperator:
     """A = sum_k a_k (x) c_{k_1}...c_{k_d} on C^alpha (x) truncated Fock space.
@@ -86,15 +100,17 @@ class _FamilyOperator:
         self.space = FockSpace(letters, depth)
         self.dim = a.alpha * self.space.dimension
 
+    def _letters(self, k: int) -> tuple:
+        """The letters c_k creates and annihilates."""
+        return k - 1, (self.a.r if self.kind == "circular" else 0) + k - 1
+
     def _c(self, k: int, vec: np.ndarray) -> np.ndarray:
-        if self.kind == "circular":
-            return self.space.create(k - 1, vec) + self.space.annihilate(self.a.r + k - 1, vec)
-        return self.space.create(k - 1, vec) + self.space.annihilate(k - 1, vec)
+        created, annihilated = self._letters(k)
+        return self.space.create(created, vec) + self.space.annihilate(annihilated, vec)
 
     def _c_star(self, k: int, vec: np.ndarray) -> np.ndarray:
-        if self.kind == "circular":
-            return self.space.annihilate(k - 1, vec) + self.space.create(self.a.r + k - 1, vec)
-        return self._c(k, vec)
+        created, annihilated = self._letters(k)
+        return self.space.annihilate(created, vec) + self.space.create(annihilated, vec)
 
     def apply(self, block: np.ndarray) -> np.ndarray:
         out = np.zeros_like(block)
@@ -137,56 +153,88 @@ def fock_norm_estimate(a: CoefficientFamily, kind: str = "circular", depth: int 
 
     Each basis word is sent to a handful of words, so the operator is block
     diagonal into small dense blocks: the connected components of its support
-    graph, which links input word i to output word j where the alpha x alpha
-    entry (j, i) is nonzero.  The norm is the largest dense norm of a block.
-    Depth 2d already reproduces each block matrix as a compression, so the
-    norm dominates every ||M_l||.
+    graph, which links input word w to output word v where a term a_k (x) x
+    with x a product of d creations and annihilations sends w to v.  Those
+    (output, input, term) triples come from composing the creation and
+    annihilation index maps of the Fock space over all words at once, one
+    composition per support point and create/annihilate choice, so the cost
+    is linear in the Fock dimension.  Every block's size is checked against
+    DIMENSION_CAP before any is built; the norm is the largest dense norm of
+    a block.  Depth 2d already reproduces each block matrix as a compression,
+    so the norm dominates every ||M_l||.
     """
     if depth is None:
         depth = 2 * a.d
     op = _FamilyOperator(a, kind, depth)
     size = op.space.dimension
-    # the column of each input word: its output words and their entries
-    images = []
-    unit = np.zeros((a.alpha, a.alpha, size), dtype=complex)
-    for i in range(size):
-        unit[:, :, i] = np.eye(a.alpha)
-        image = op.apply(unit)
-        unit[:, :, i] = 0.0
-        rows = np.flatnonzero(image.any(axis=(0, 1))).tolist()
-        images.append((rows, image[:, :, rows].transpose(2, 1, 0)))
-
-    # union-find over input words 0..size-1 and output words size..2*size-1
-    parent = list(range(2 * size))
-
-    def root(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, (rows, _) in enumerate(images):
-        for j in rows:
-            parent[root(size + j)] = root(i)
-    components: Dict[int, list] = {}
-    for i, (rows, _) in enumerate(images):
-        if len(rows):
-            components.setdefault(root(i), []).append(i)
-    blocks = []
-    for inputs in components.values():
-        outputs = np.array(sorted({j for i in inputs for j in images[i][0]}))
+    keys = [key for key, mat in a.entries.items() if np.any(mat)]
+    mats = np.array([a.entries[key] for key in keys]).reshape(-1, a.alpha, a.alpha)
+    src, dst, term = _support_triples(op, keys)
+    # input words are nodes 0..size-1, output words size..2*size-1
+    label = _components(src, size + dst, 2 * size)[src]
+    order = np.argsort(label, kind="stable")
+    by_comp = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+    blocks = [(edges, _distinct(src[edges]), _distinct(dst[edges])) for edges in by_comp
+              if len(edges)]
+    for _, inputs, outputs in blocks:
         if a.alpha * max(len(inputs), len(outputs)) > matrices.DIMENSION_CAP:
             raise ValueError("Fock block dimension exceeds cap %d" % matrices.DIMENSION_CAP)
-        blocks.append((inputs, outputs))
 
     norm = 0.0
-    for inputs, outputs in blocks:
+    for edges, inputs, outputs in blocks:
         block = np.zeros((len(outputs), a.alpha, len(inputs), a.alpha), dtype=complex)
-        for col, i in enumerate(inputs):
-            rows, entries = images[i]
-            block[np.searchsorted(outputs, rows), :, col, :] = entries
+        np.add.at(block, (np.searchsorted(outputs, dst[edges]), slice(None),
+                          np.searchsorted(inputs, src[edges]), slice(None)), mats[term[edges]])
         norm = max(norm, operator_norm(block.reshape(len(outputs) * a.alpha, -1)))
     return norm
+
+
+def _distinct(words: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of words."""
+    words = np.sort(words)
+    return words[np.concatenate(([True], words[1:] != words[:-1]))]
+
+
+def _support_triples(op: "_FamilyOperator", keys: list) -> tuple:
+    """(input word, output word, key index) for every word that a product of
+    creations and annihilations in the expansion of c_{k_1}..c_{k_d} keeps
+    alive, one triple per choice; a pair may repeat, its entries add."""
+    if not keys:
+        return (np.zeros(0, dtype=np.intp),) * 3
+    space = op.space
+    create = [space.create_map(letter) for letter in range(space.letters)]
+    annihilate = [space.annihilate_map(letter) for letter in range(space.letters)]
+    words = np.arange(space.dimension)
+    src, dst, term = [], [], []
+    for t, key in enumerate(keys):
+        image = words[None, :]
+        for k in reversed(key):
+            created, annihilated = op._letters(k)
+            image = np.concatenate([create[created][image], annihilate[annihilated][image]])
+        alive = image >= 0
+        src.append(np.broadcast_to(words, image.shape)[alive])
+        dst.append(image[alive])
+        term.append(np.full(int(alive.sum()), t))
+    return tuple(np.concatenate(x) for x in (src, dst, term))
+
+
+def _components(u: np.ndarray, v: np.ndarray, nodes: int) -> np.ndarray:
+    """Component label of every node of the graph with edges u[e] -- v[e]:
+    the smallest node of its component.  Each round hooks every root onto
+    the smallest root it shares an edge with, then flattens the trees."""
+    label = np.arange(nodes)
+    while True:
+        lu, lv = label[u], label[v]
+        if np.array_equal(lu, lv):
+            return label
+        low = np.minimum(lu, lv)
+        np.minimum.at(label, lu, low)
+        np.minimum.at(label, lv, low)
+        while True:
+            flat = label[label]
+            if np.array_equal(flat, label):
+                break
+            label = flat
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,23 @@ def test_norm_negative_moment_exits_2(tmp_path, monkeypatch, capsys):
     assert err.startswith("norm: ") and "negative" in err
 
 
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_norm_nonpositive_m_exits_2(tmp_path, capsys, m):
+    path = str(tmp_path / "fam.txt")
+    save_family(random_family(1, 2, 2, np.random.default_rng(43)), path)
+    code, out, err = run(capsys, "norm", "--family-file", path, "--m", m)
+    assert code == 2 and out == ""
+    assert "--m" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("option,suite", [("--d", "counting"), ("--m", "main-inequality"),
+                                          ("--n", "counting"), ("--trials", "nonholo")])
+def test_verify_nonpositive_size_exits_2(capsys, option, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, option, "0")
+    assert code == 2 and out == ""
+    assert err.startswith("verify: ") and option in err
+
+
 def test_python_dash_m_runs_the_cli():
     import os
     import subprocess

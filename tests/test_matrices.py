@@ -4,6 +4,7 @@ from itertools import islice, product
 import numpy as np
 import pytest
 
+from conftest import all_set_partitions
 from ncfree.partitions import enumerate_nc, full, parse_partition
 from ncfree.symmetry import GridShape, symmetrize, level_exponents, level_terminal, glued_level_terminal
 from ncfree.families import catalan, enumerate_ncstar, enumerate_ncdm
@@ -23,6 +24,7 @@ from ncfree.matrices import (
     nonholo_norm_2m,
     nonholo_rhs_bound,
     operator_norm,
+    planar_sum,
     prime_family,
     prime_family_gram,
     random_adjacent_distinct_family,
@@ -599,3 +601,78 @@ def test_block_matrix_cap_is_on_the_smaller_side(monkeypatch):
         assert build(fam, 0).matrix.shape == (1, 4)
         with pytest.raises(ValueError, match="exceeds cap 1"):
             build(fam, 1)
+
+
+def einsum_reference(p, d, m, tensor_of):
+    """The trace sum as one einsum over all 2m group tensors, its contraction
+    path searched by numpy."""
+    nb = p.num_blocks
+    operands = []
+    for j in range(2 * m):
+        subs = [p.block_id(j * d + o + 1) for o in range(d)]
+        subs += [nb + j, nb + (j + 1) % (2 * m)]
+        operands.extend([tensor_of(j), subs])
+    return complex(np.einsum(*operands, [], optimize=True))
+
+
+def assert_contraction_matches_reference(monkeypatch, trace_of, partitions):
+    from ncfree import matrices
+
+    ring_order = [trace_of(p) for p in partitions]
+    monkeypatch.setattr(matrices, "_contract", einsum_reference)
+    for p, value in zip(partitions, ring_order):
+        reference = trace_of(p)
+        assert abs(value - reference) <= 1e-12 * max(1.0, abs(reference)), p
+
+
+@pytest.mark.parametrize("d,m,r,alpha", [(1, 1, 3, 2), (1, 2, 3, 2), (1, 3, 3, 2),
+                                         (1, 4, 3, 1), (1, 4, 2, 2), (2, 1, 3, 2),
+                                         (2, 2, 2, 2)])
+def test_trace_sum_matches_einsum_reference_on_every_partition(monkeypatch, d, m, r, alpha):
+    a = random_family(d, r, alpha, np.random.default_rng(40 + 10 * d + m))
+    partitions = list(all_set_partitions(2 * d * m))  # crossing ones included
+    assert_contraction_matches_reference(monkeypatch, lambda p: trace_sum_complex(a, p),
+                                         partitions)
+
+
+@pytest.mark.parametrize("d,m,r,alpha", [(1, 1, 3, 2), (1, 2, 3, 2), (1, 3, 2, 2),
+                                         (1, 4, 2, 2), (2, 1, 3, 2), (2, 2, 2, 1)])
+def test_star_trace_sum_matches_einsum_reference_on_even_block_partitions(
+        monkeypatch, d, m, r, alpha):
+    a = random_star_family(d, r, alpha, np.random.default_rng(50 + 10 * d + m))
+    partitions = [p for p in all_set_partitions(2 * d * m)
+                  if all(len(b) % 2 == 0 for b in p.blocks)]
+    assert_contraction_matches_reference(monkeypatch, lambda p: trace_sum_star_complex(a, p),
+                                         partitions)
+
+
+def test_assignment_cap_raises_before_any_einsum(monkeypatch):
+    plain = random_family(1, 3, 1, np.random.default_rng(7))
+    star = random_star_family(1, 2, 1, np.random.default_rng(8))
+
+    def never(*args, **kwargs):
+        raise AssertionError("an einsum ran before the assignment cap check")
+
+    monkeypatch.setattr(np, "einsum", never)
+    with pytest.raises(ValueError, match="exceeds cap 10"):
+        trace_sum_complex(plain, parse_partition("1|2|3|4|5|6", 6), cap=10)
+    with pytest.raises(ValueError, match="exceeds cap 10"):
+        trace_sum_star_complex(star, parse_partition("1,2|3,4|5,6", 6), cap=10)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_moments_need_m_at_least_1(m):
+    circ, semi = CumulantSpec.circular(), CumulantSpec.semicircular()
+    plain = random_family(1, 2, 2, np.random.default_rng(60))
+    distinct = random_adjacent_distinct_family(2, 2, 2, np.random.default_rng(61))
+    star = random_star_family(1, 2, 2, np.random.default_rng(62))
+    calls = [lambda: planar_sum(plain, circ, m),
+             lambda: holo_moment(plain, circ, m),
+             lambda: holo_moment(plain, CumulantSpec.haar_unitary(), m),
+             lambda: holo_norm_2m(plain, circ, m),
+             lambda: nonholo_moment(distinct, semi, m),
+             lambda: nonholo_moment(star, circ, m),
+             lambda: nonholo_norm_2m(star, circ, m)]
+    for call in calls:
+        with pytest.raises(ValueError, match="need m >= 1"):
+            call()

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -139,6 +140,37 @@ def test_fock_norm_block_past_cap_raises(monkeypatch):
     monkeypatch.setattr(oracles, "operator_norm", never)
     with pytest.raises(ValueError, match="exceeds cap 24"):
         fock_norm_estimate(a, "circular")
+
+
+# the per-word construction took 41 s here; the support triples take well
+# under a second, and the budget leaves room for a loaded host
+FOCK_D3_BUDGET_S = 10.0
+
+
+@pytest.mark.parametrize("kind", ["circular", "semicircular"])
+def test_fock_norm_estimate_at_d3_dominates_block_norms(kind):
+    # criterion 12 at d = 3: 5461 words under the circular kind
+    a = random_family(3, 2, 2, np.random.default_rng(12))
+    start = time.perf_counter()
+    est = fock_norm_estimate(a, kind)
+    assert time.perf_counter() - start < FOCK_D3_BUDGET_S
+    worst = max(operator_norm(build_Ml(a, l).matrix) for l in range(a.d + 1))
+    assert worst <= est + 1e-6
+
+
+@pytest.mark.parametrize("kind,keys", [
+    ("circular", [(1, 2), (2, 1)]),
+    ("circular", [(1, 1), (2, 1), (2, 2)]),
+    ("semicircular", [(1, 2), (2, 1)]),
+    ("semicircular", [(1, 2, 1), (2, 1, 2)]),
+    ("semicircular", [(2, 1, 1), (1, 2, 2), (1, 1, 1)]),
+])
+def test_fock_norm_estimate_of_a_sparse_family_is_exact(kind, keys):
+    rng = np.random.default_rng(len(keys) * 7 + len(keys[0]))
+    a = CoefficientFamily(len(keys[0]), 2, 2, {
+        key: rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2)) for key in keys})
+    exact = dense_fock_norm(a, kind, 2 * a.d)
+    assert math.isclose(fock_norm_estimate(a, kind), exact, rel_tol=1e-12)
 
 
 def test_convolve_cap_is_read_when_called(monkeypatch):
