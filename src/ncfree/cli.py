@@ -410,7 +410,11 @@ def cmd_enumerate(args) -> int:
     except ValueError as exc:
         print("enumerate: %s" % exc, file=sys.stderr)
         return 2
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
+    try:
+        out = open(args.out, "w", newline="") if args.out else sys.stdout
+    except OSError as exc:
+        print("enumerate: cannot write --out %s: %s" % (args.out, exc.strerror), file=sys.stderr)
+        return 2
     try:
         writer = csv.writer(out)
         writer.writerow(["partition"])
@@ -445,8 +449,12 @@ def cmd_verify(args) -> int:
         print("verify: %s" % exc, file=sys.stderr)
         return 2
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            report.write(fh)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                report.write(fh)
+        except OSError as exc:
+            print("verify: cannot write --out %s: %s" % (args.out, exc.strerror), file=sys.stderr)
+            return 2
     else:
         report.write(sys.stdout)
     return 0 if report.all_passed else 1

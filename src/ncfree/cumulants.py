@@ -22,6 +22,7 @@ partitions.NC_ENUMERATION_CAP).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence, Tuple
 
 from .partitions import Partition, enumerate_nc
@@ -75,7 +76,13 @@ class CumulantSpec:
 
     @classmethod
     def r_diagonal(cls, alphas: Sequence) -> "CumulantSpec":
-        return cls("rdiag", alphas=list(alphas))
+        """Raises ValueError, naming the spec, on a NaN or infinite value."""
+        alphas = list(alphas)
+        # x == x rejects NaN; the comparison with inf also takes Fractions
+        # and integers past the float range
+        if not all(x == x and abs(x) != math.inf for x in alphas):
+            raise ValueError("rdiag:%s has a non-finite value" % ",".join(map(str, alphas)))
+        return cls("rdiag", alphas=alphas)
 
     @classmethod
     def star_table(cls, table: Callable) -> "CumulantSpec":

@@ -7,8 +7,11 @@ traces of matrix powers.  The central quantity is the trace sum of a
 partition: one free index per block, and the 2m groups of d positions
 contribute alternately the family and the conjugate-transpose of the
 index-reversed family.  The sums are contracted around the ring of groups,
-one two-operand einsum per group; for star families the block phases join
-the letters in a doubled alphabet of size 2r, so they take the same walk.
+one two-operand einsum per group.  A star family's tensor runs over the
+doubled alphabet of 2r letters, letter 2(k - 1) + e for index k with star
+bit e, so block matrices, trace sums and moments read it as they read a
+plain family's tensor: a block's phase is part of its letter, and star
+conjugation is the letter swap l ^ 1.
 
 A moment is a cumulant-weighted sum of trace sums over every non-crossing
 partition, and `planar_sum` evaluates it without enumerating any: each
@@ -68,8 +71,10 @@ def _as_matrix(value, alpha: int) -> np.ndarray:
     return mat
 
 
-class CoefficientFamily:
-    """Finitely supported map from {1..r}^d to alpha x alpha complex matrices."""
+class _Family:
+    """What plain and star families share: d slots over a.letters letters,
+    alpha x alpha complex matrices on a finite support, and one dense tensor
+    of shape (letters,)*d + (alpha, alpha) built from them."""
 
     def __init__(self, d: int, r: int, alpha: int, entries: Dict[tuple, object]):
         if d < 1 or r < 1 or alpha < 1:
@@ -77,78 +82,94 @@ class CoefficientFamily:
         self.d = d
         self.r = r
         self.alpha = alpha
-        self.entries = {}
-        for key, value in entries.items():
-            key = tuple(key)
-            if len(key) != d or not all(1 <= k <= r for k in key):
-                raise ValueError("bad index tuple %r" % (key,))
-            self.entries[key] = _as_matrix(value, alpha)
-        self._dense = None
+        self.entries = {self._checked(key): _as_matrix(value, alpha)
+                        for key, value in entries.items()}
+        self._tensor = None
 
-    def dense(self) -> np.ndarray:
-        """Tensor of shape (r,)*d + (alpha, alpha); absent entries are zero."""
-        if self._dense is None:
-            t = np.zeros((self.r,) * self.d + (self.alpha, self.alpha), dtype=complex)
+    def tensor(self) -> np.ndarray:
+        """Tensor of shape (letters,)*d + (alpha, alpha); absent entries are zero."""
+        if self._tensor is None:
+            t = np.zeros((self.letters,) * self.d + (self.alpha, self.alpha), dtype=complex)
             for key, mat in self.entries.items():
-                t[tuple(k - 1 for k in key)] = mat
-            self._dense = t
-        return self._dense
+                t[self._letters_of(key)] = mat
+            self._tensor = t
+        return self._tensor
+
+    def frobenius(self) -> float:
+        """||a||_2, summed without squaring past the float range."""
+        return _norm2(np.array(list(self.entries.values())))
 
     def frobenius_sq(self) -> float:
-        return float(sum(np.sum(np.abs(m) ** 2) for m in self.entries.values()))
+        return self.frobenius() ** 2
 
     def scaled(self, c: float):
         """The family c * a.  The support is unchanged, so it is not checked again."""
         out = object.__new__(type(self))
         out.d, out.r, out.alpha = self.d, self.r, self.alpha
         out.entries = {key: c * mat for key, mat in self.entries.items()}
-        out._dense = None if self._dense is None else c * self._dense
+        out._tensor = None if self._tensor is None else c * self._tensor
         return out
 
     def __repr__(self) -> str:
-        return "CoefficientFamily(d=%d, r=%d, alpha=%d, support=%d)" % (
-            self.d, self.r, self.alpha, len(self.entries))
+        return "%s(d=%d, r=%d, alpha=%d, support=%d)" % (
+            type(self).__name__, self.d, self.r, self.alpha, len(self.entries))
 
 
-class StarCoefficientFamily:
-    """Family indexed by ({1..r} x {1,*})^d, supported on tuples where equal
-    neighbouring indices carry equal stars."""
+class CoefficientFamily(_Family):
+    """Finitely supported map from {1..r}^d to alpha x alpha complex matrices."""
 
-    def __init__(self, d: int, r: int, alpha: int, entries: Dict[tuple, object]):
-        if d < 1 or r < 1 or alpha < 1:
-            raise ValueError("need d, r, alpha >= 1")
-        self.d = d
-        self.r = r
-        self.alpha = alpha
-        self.entries = {}
-        for key, value in entries.items():
-            idx, stars = tuple(key[0]), tuple(key[1])
-            if len(idx) != d or not all(1 <= k <= r for k in idx):
-                raise ValueError("bad index tuple %r" % (idx,))
-            if len(stars) != d or not all(s in (False, True) for s in stars):
-                raise ValueError("bad star tuple %r" % (stars,))
-            if not _in_reduced_support(idx, stars):
-                raise ValueError(
-                    "support point %r violates the reduced-word condition" % ((idx, stars),))
-            self.entries[(idx, stars)] = _as_matrix(value, alpha)
-        self._dense = None
+    @property
+    def letters(self) -> int:
+        return self.r
+
+    def _checked(self, key) -> tuple:
+        key = tuple(key)
+        if len(key) != self.d or not all(1 <= k <= self.r for k in key):
+            raise ValueError("bad index tuple %r" % (key,))
+        return key
+
+    def _letters_of(self, key: tuple) -> tuple:
+        return tuple(k - 1 for k in key)
 
     def dense(self) -> np.ndarray:
-        """Tensor of shape (r,)*d + (2,)*d + (alpha, alpha); star axis 1 means starred."""
-        if self._dense is None:
-            t = np.zeros((self.r,) * self.d + (2,) * self.d + (self.alpha, self.alpha),
-                         dtype=complex)
-            for (idx, stars), mat in self.entries.items():
-                t[tuple(k - 1 for k in idx) + tuple(int(s) for s in stars)] = mat
-            self._dense = t
-        return self._dense
+        """Tensor of shape (r,)*d + (alpha, alpha); absent entries are zero."""
+        return self.tensor()
 
-    frobenius_sq = CoefficientFamily.frobenius_sq
-    scaled = CoefficientFamily.scaled
 
-    def __repr__(self) -> str:
-        return "StarCoefficientFamily(d=%d, r=%d, alpha=%d, support=%d)" % (
-            self.d, self.r, self.alpha, len(self.entries))
+class StarCoefficientFamily(_Family):
+    """Family indexed by ({1..r} x {1,*})^d, supported on tuples where equal
+    neighbouring indices carry equal stars.
+
+    Its tensor runs over the doubled alphabet of 2r letters, letter
+    2(k - 1) + e for index k with star bit e (1 means starred), so block
+    matrices, trace sums and the planar recursion read it as they read a
+    plain family's; star conjugation is the letter swap l ^ 1.
+    """
+
+    @property
+    def letters(self) -> int:
+        return 2 * self.r
+
+    def _checked(self, key) -> tuple:
+        idx, stars = tuple(key[0]), tuple(key[1])
+        if len(idx) != self.d or not all(1 <= k <= self.r for k in idx):
+            raise ValueError("bad index tuple %r" % (idx,))
+        if len(stars) != self.d or not all(s in (False, True) for s in stars):
+            raise ValueError("bad star tuple %r" % (stars,))
+        if not _in_reduced_support(idx, stars):
+            raise ValueError(
+                "support point %r violates the reduced-word condition" % ((idx, stars),))
+        return idx, stars
+
+    def _letters_of(self, key: tuple) -> tuple:
+        return tuple(2 * (k - 1) + int(s) for k, s in zip(*key))
+
+    def dense(self) -> np.ndarray:
+        """View of shape (r,)*d + (2,)*d + (alpha, alpha); star axis 1 means starred."""
+        d = self.d
+        split = self.tensor().reshape((self.r, 2) * d + (self.alpha, self.alpha))
+        return split.transpose(tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
+                               + (2 * d, 2 * d + 1))
 
 
 def _in_reduced_support(idx: tuple, stars: tuple) -> bool:
@@ -170,36 +191,22 @@ class BlockMatrixView:
     matrix: np.ndarray
 
 
-def build_Ml(a: CoefficientFamily, l: int) -> BlockMatrixView:
-    """Rows over {1..r}^l x {1..alpha}, columns over the remaining slots."""
+def build_Ml(a, l: int) -> BlockMatrixView:
+    """Rows over the first l letters and {1..alpha}, columns over the
+    remaining letters and {1..alpha}; a star family's letters are those of
+    its doubled alphabet."""
     if not 0 <= l <= a.d:
         raise ValueError("split %d outside 0..%d" % (l, a.d))
-    rows = a.r ** l * a.alpha
-    cols = a.r ** (a.d - l) * a.alpha
+    rows = a.letters ** l * a.alpha
+    cols = a.letters ** (a.d - l) * a.alpha
     if min(rows, cols) > DIMENSION_CAP:
         raise ValueError("block matrix dimension exceeds cap %d" % DIMENSION_CAP)
-    t = a.dense()
-    # axes (k_1..k_d, i, j) -> (k_1..k_l, i, k_{l+1}..k_d, j)
+    # axes (l_1..l_d, i, j) -> (l_1..l_l, i, l_{l+1}..l_d, j)
     perm = tuple(range(l)) + (a.d,) + tuple(range(l, a.d)) + (a.d + 1,)
-    return BlockMatrixView(l, np.ascontiguousarray(t.transpose(perm).reshape(rows, cols)))
+    return BlockMatrixView(l, np.ascontiguousarray(a.tensor().transpose(perm).reshape(rows, cols)))
 
 
-def build_Ml_star(a: StarCoefficientFamily, l: int) -> BlockMatrixView:
-    """Block matrix over the doubled alphabet {1..r} x {1,*}."""
-    if not 0 <= l <= a.d:
-        raise ValueError("split %d outside 0..%d" % (l, a.d))
-    rows = (2 * a.r) ** l * a.alpha
-    cols = (2 * a.r) ** (a.d - l) * a.alpha
-    if min(rows, cols) > DIMENSION_CAP:
-        raise ValueError("block matrix dimension exceeds cap %d" % DIMENSION_CAP)
-    t = a.dense()
-    d = a.d
-    # interleave each index axis with its star axis, then split after l slots
-    perm = []
-    for o in range(d):
-        perm.extend([o, d + o])
-    perm = tuple(perm[: 2 * l]) + (2 * d,) + tuple(perm[2 * l:]) + (2 * d + 1,)
-    return BlockMatrixView(l, np.ascontiguousarray(t.transpose(perm).reshape(rows, cols)))
+build_Ml_star = build_Ml
 
 
 def _matrix_of(M) -> np.ndarray:
@@ -219,11 +226,23 @@ def schatten_pow(M, m: int) -> float:
     return float(power.trace().real)
 
 
+def _norm2(values: np.ndarray) -> float:
+    """The l2 norm of an array, scaled by its largest modulus first so that
+    no square passes the float range.  Raises ValueError when the norm
+    itself is past it."""
+    top = float(np.abs(values).max(initial=0.0))
+    unit = values / top if top else values
+    norm = top * math.sqrt(np.vdot(unit, unit).real)
+    if norm == math.inf:
+        raise ValueError("l2 norm is past the float range")
+    return norm
+
+
 def schatten_norm(M, m: int) -> float:
     """The 2m-norm: Tr((M^* M)^m)^(1/2m), taken at unit Frobenius norm so
     that the power stays within the float range at large m."""
     mat = _matrix_of(M)
-    scale = float(np.linalg.norm(mat))
+    scale = _norm2(mat)
     if not scale:
         return 0.0
     return scale * schatten_pow(mat / scale, m) ** (1.0 / (2 * m))
@@ -239,16 +258,31 @@ def _grid_of(a, p: Partition) -> GridShape:
     return GridShape(a.d, p.n // (2 * a.d))
 
 
-def _check_assignment_cap(a, p: Partition, cap: int) -> None:
-    if a.r ** p.num_blocks > cap:
-        raise ValueError(
-            "assignment count %d^%d exceeds cap %d" % (a.r, p.num_blocks, cap))
+def _check_assignment_cap(a, p: Partition) -> None:
+    if a.letters ** p.num_blocks > ASSIGNMENT_CAP:
+        raise ValueError("assignment count %d^%d exceeds cap %d"
+                         % (a.letters, p.num_blocks, ASSIGNMENT_CAP))
 
 
-def _tilde_star_tensor(t: np.ndarray, d: int) -> np.ndarray:
-    # entry [k, i, j] = conj(t[reversed k, j, i])
-    perm = tuple(range(d - 1, -1, -1)) + (d + 1, d)
-    return t.transpose(perm).conj()
+def _swap_stars(t: np.ndarray, axes) -> np.ndarray:
+    """t with the doubled-alphabet letters of the given axes star-conjugated,
+    letter l read as l ^ 1."""
+    swap = np.arange(t.shape[0]) ^ 1
+    for o in axes:
+        t = t.take(swap, axis=o)
+    return t
+
+
+def _group_tensors(a) -> tuple:
+    """The odd and even group tensors of the trace ring, axes
+    (letter_1..letter_d, i, j): the family's tensor t and its adjoint with
+    the letters reversed, [l, i, j] = conj(t[reversed l, j, i]).  For a star
+    family the adjoint also conjugates every star."""
+    t, d = a.tensor(), a.d
+    even = t.transpose(tuple(range(d - 1, -1, -1)) + (d + 1, d)).conj()
+    if isinstance(a, StarCoefficientFamily):
+        even = _swap_stars(even, range(d))
+    return t, even
 
 
 def _contract(p: Partition, d: int, m: int, tensor_of) -> complex:
@@ -259,8 +293,9 @@ def _contract(p: Partition, d: int, m: int, tensor_of) -> complex:
     Walking the groups in ring order carries T[i0, i, blocks still open],
     from eye(alpha): each group is one two-operand einsum, which sums out
     every block whose last position lies in the group, and the result is
-    trace(T).  T holds at most alpha^2 r^(#blocks) entries, so the
-    assignment cap checked by the callers bounds it.
+    trace(T).  T holds at most alpha^2 L^(#blocks) entries over the
+    family's L letters, so the assignment cap checked by the callers bounds
+    it.
     """
     nb = p.num_blocks
     last_group = [(max(b) - 1) // d for b in p.blocks]
@@ -276,77 +311,60 @@ def _contract(p: Partition, d: int, m: int, tensor_of) -> complex:
     return complex(np.trace(T))
 
 
-def trace_sum_complex(a: CoefficientFamily, p: Partition, cap: int = ASSIGNMENT_CAP) -> complex:
+def trace_sum_complex(a: CoefficientFamily, p: Partition) -> complex:
     """Trace sum of a partition: one alphabet value per block, groups of d
     positions contributing a, then the conjugate-transposed reversed family,
-    alternately around the trace."""
+    alternately around the trace.  Raises ValueError past ASSIGNMENT_CAP
+    letter assignments, read when the function is called."""
     g = _grid_of(a, p)
-    _check_assignment_cap(a, p, cap)
-    odd_t = a.dense()
-    even_t = _tilde_star_tensor(odd_t, g.d)
-    return _contract(p, g.d, g.m, lambda j: even_t if j % 2 else odd_t)
+    _check_assignment_cap(a, p)
+    groups = _group_tensors(a)
+    return _contract(p, g.d, g.m, lambda j: groups[j % 2])
 
 
-def trace_sum(a: CoefficientFamily, p: Partition, cap: int = ASSIGNMENT_CAP) -> float:
+def trace_sum(a: CoefficientFamily, p: Partition) -> float:
     """Real part of the trace sum; the residual imaginary part is available
     from trace_sum_complex and must vanish for mirror-symmetric partitions."""
-    return trace_sum_complex(a, p, cap=cap).real
+    return trace_sum_complex(a, p).real
 
 
-def trace_sum_star_complex(a: StarCoefficientFamily, p: Partition,
-                           cap: int = ASSIGNMENT_CAP) -> complex:
+def trace_sum_star_complex(a: StarCoefficientFamily, p: Partition) -> complex:
     """Star variant: blocks additionally carry one of two alternating star
     phases, and even groups contribute the conjugate-transposed family with
     indices reversed and stars conjugated.
 
-    Each block gets one index (letter k, phase e) over the doubled alphabet
-    of size 2r, so the sum over letters and phases is a single contraction.
+    Each block gets one letter (k, phase e) of the family's doubled
+    alphabet, so the sum over letters and phases is a single contraction.
     The position of rank q in its block (counted from 0 in position order)
-    carries the star bit e XOR (q mod 2): a group's tensor has the star axes
-    of its odd-rank positions flipped, and each (index, star) axis pair merged
-    into one axis k * 2 + e.  At most 2 * 2^d such tensors are built per call.
+    carries the star bit e XOR (q mod 2): a group's tensor reads the letters
+    of its odd-rank positions through the star swap l ^ 1.  At most
+    2 * 2^d such tensors are built per call.  Raises ValueError for a block
+    of odd size and past ASSIGNMENT_CAP, read when the function is called.
     """
     g = _grid_of(a, p)
     if any(len(b) % 2 for b in p.blocks):
         raise ValueError("star trace sums need even blocks")
-    if (2 * a.r) ** p.num_blocks > cap:
-        raise ValueError("assignment count exceeds cap %d" % cap)
+    _check_assignment_cap(a, p)
     d = g.d
-    t, even_t = _star_group_tensors(a)
+    groups = _group_tensors(a)
     odd_rank = [0] * p.n
     for b in p.blocks:
         for pos in b[1::2]:
             odd_rank[pos - 1] = 1
 
-    doubled = {}
+    swapped = {}
 
     def tensor_of(j: int) -> np.ndarray:
-        flips = tuple(d + o for o in range(d) if odd_rank[j * d + o])
-        key = (j % 2, flips)
-        if key not in doubled:
-            doubled[key] = _merge_letters(np.flip(even_t if j % 2 else t, axis=flips), d)
-        return doubled[key]
+        key = (j % 2, tuple(o for o in range(d) if odd_rank[j * d + o]))
+        if key not in swapped:
+            swapped[key] = _swap_stars(groups[j % 2], key[1])
+        return swapped[key]
 
     return _contract(p, d, g.m, tensor_of)
 
 
-def _star_group_tensors(a: StarCoefficientFamily) -> tuple:
-    """The family and its reversed, star-conjugated adjoint, both with axes
-    (k_1..k_d, e_1..e_d, i, j)."""
-    d, t = a.d, a.dense()
-    # [k, e, i, j] = conj(t[rev k, rev(1-e), j, i])
-    perm = tuple(range(d - 1, -1, -1)) + tuple(range(2 * d - 1, d - 1, -1)) + (2 * d + 1, 2 * d)
-    return t, np.flip(t.transpose(perm), axis=tuple(range(d, 2 * d))).conj()
-
-
-def _merge_letters(t: np.ndarray, d: int) -> np.ndarray:
-    """(k_1..k_d, e_1..e_d, i, j) -> (l_1..l_d, i, j) with letter l = k * 2 + e."""
-    interleave = tuple(x for o in range(d) for x in (o, d + o)) + (2 * d, 2 * d + 1)
-    return t.transpose(interleave).reshape((2 * t.shape[0],) * d + t.shape[-2:])
-
-
-def trace_sum_star(a: StarCoefficientFamily, p: Partition, cap: int = ASSIGNMENT_CAP) -> float:
-    return trace_sum_star_complex(a, p, cap=cap).real
+def trace_sum_star(a: StarCoefficientFamily, p: Partition) -> float:
+    return trace_sum_star_complex(a, p).real
 
 
 # ---------------------------------------------------------------------------
@@ -374,52 +392,67 @@ def _split_group(g: np.ndarray) -> list:
     return sites
 
 
-def _bond(o: int, d: int, alpha: int, letters: int) -> int:
-    return alpha * letters ** min(o % d, d - o % d)
-
-
-def _table_sizes(d: int, m: int, alpha: int, letters: int) -> tuple:
-    """(N_0, N_1): the summed bonds of the ring's boundaries 0..2dm of each
-    parity.  A group of odd d shifts the parity of the next one, and the
-    last boundary, 2dm, is even."""
-    group = [sum(_bond(o, d, alpha, letters) for o in range(parity, d, 2))
-             for parity in (0, 1)]
-    return tuple(m * (group[p] + group[(p + d) % 2]) + (alpha if p == 0 else 0) for p in (0, 1))
-
-
 class _Ring:
     """The 2dm positions of the trace ring as site tensors, each position
     with the bonds of its own place in its group.
 
-    Position p holds site p mod 2d, stored as legs (letter, left bond, right
-    bond).  The bond at boundary p (before position p) is
-    alpha * L^min(o, d - o) for o = p mod d, so it is alpha between groups.
-    The recursions keep one table per parity of boundary: boundary p owns
-    rows and columns at[p] .. at[p] + bond[p] of table p % 2, so the
-    boundaries p, p + 2, .., up to n are the suffix of that table from at[p].
-
-    The sites come from the odd and even group tensors.  With star_legs the
-    letter axis doubles to (k, star) = k * 2 + star and each site fills only
-    the star of its group.
+    The shape comes from the family, the preset and m before any tensor is
+    built: the family's L letters (a star family's doubled alphabet), the
+    leg width, the bonds, the two table sides and the complex entries the
+    recursion holds at once.  A plain family under an R-diagonal preset has
+    legs twice as wide, over the letters (k, star) = 2k + star, and each
+    group fills only its own star; other legs are L wide.  The bond at
+    boundary p (before position p) is alpha * L^min(o, d - o) for
+    o = p mod d, so it is alpha between groups.  The recursions keep one
+    table per parity of boundary: boundary p owns rows and columns
+    at[p] .. at[p] + bond[p] of table p % 2, so the boundaries p, p + 2, ..,
+    up to n are the suffix of that table from at[p].  fill then stores
+    position p's site p mod 2d as legs (letter, left bond, right bond).
     """
 
-    def __init__(self, groups: tuple, m: int, star_legs: bool):
-        d, letters, alpha = groups[0].ndim - 2, groups[0].shape[0], groups[0].shape[-1]
-        self.d, self.n = d, 2 * d * m
-        n = self.n
+    def __init__(self, a, spec: CumulantSpec, m: int):
+        star = isinstance(a, StarCoefficientFamily)
+        self.d, self.n, self.alpha, self.letters = a.d, 2 * a.d * m, a.alpha, a.letters
+        self.pairs_only = spec.kind == "semicircle" and not star
+        self.width = self.letters if star or self.pairs_only else 2 * self.letters
+        # _prefix[c] (c < 2d + 2): the summed bonds of the boundaries c - 2,
+        # c - 4, .. >= 0; the bonds repeat with period 2d, which keeps the
+        # parity, so _at needs no more
+        self._prefix = [0, 0]
+        for c in range(2, 2 * self.d + 2):
+            self._prefix.append(self._prefix[c - 2] + self._bond(c - 2))
+        self.size = (self._at(self.n + 2), self._at(self.n + 1))  # n is even
+        tables = self.size[0] ** 2 + self.size[1] ** 2
+        if spec.kind == "haar":
+            # the tree form keeps one pair of tables per letter context
+            self.entries = (self.width + 1) * tables
+        else:
+            # a step holds up to four arrays like the open blocks H (H, its
+            # product with a table, a class of columns of that and its image),
+            # each a table wide for every letter and row of the largest bond
+            self.entries = tables + 4 * self.width * self._bond(self.d // 2) * max(self.size)
+
+    def _bond(self, p: int) -> int:
+        o = p % self.d
+        return self.alpha * self.letters ** min(o, self.d - o)
+
+    def _at(self, p: int) -> int:
+        """The summed bonds of the boundaries p - 2, p - 4, .. >= 0."""
+        periods, c = divmod(p, 2 * self.d)
+        return periods * self._prefix[2 * self.d + p % 2] + self._prefix[c]
+
+    def fill(self, groups: tuple) -> None:
+        """The legs, from the odd and even group tensors."""
+        n, d = self.n, self.d
         # two empty boundaries past n end the suffixes of both parities
-        self.bond = np.array([_bond(p, d, alpha, letters) for p in range(n + 1)] + [0, 0])
-        self.at = np.zeros(n + 3, dtype=int)
-        for p in range(2, n + 3):
-            self.at[p] = self.at[p - 2] + self.bond[p - 2]
-        self.size = (int(self.at[n + 2]), int(self.at[n + 1]))  # n is even
-        width = 2 * letters if star_legs else letters
+        self.bond = np.array([self._bond(p) for p in range(n + 1)] + [0, 0])
+        self.at = np.array([self._at(p) for p in range(n + 3)])
         self.legs = []
         for j, group in enumerate(groups):
-            fill = slice(j, None, 2) if star_legs else slice(None)
+            own = slice(j, None, 2) if self.width > self.letters else slice(None)
             for s in _split_group(group):
-                legs = np.zeros((width, s.shape[0], s.shape[2]), dtype=complex)
-                legs[fill] = s.transpose(1, 0, 2)
+                legs = np.zeros((self.width, s.shape[0], s.shape[2]), dtype=complex)
+                legs[own] = s.transpose(1, 0, 2)
                 self.legs.append(legs)
         # only these letters open a block at a position of the class
         self.live = [np.flatnonzero(legs.any(axis=(1, 2))) for legs in self.legs]
@@ -487,7 +520,7 @@ def _tree_dp(ring: _Ring, flip: np.ndarray) -> complex:
     1, so nothing cancels between partitions.
     """
     n, at, bond = ring.n, ring.at, ring.bond
-    letters = ring.legs[0].shape[0]
+    letters = ring.width
     contexts = letters + 1
     allowed = (np.arange(contexts)[:, None] != np.arange(letters)).astype(complex)
     F = [np.tile(np.eye(size, dtype=complex), (contexts, 1, 1)) for size in ring.size]
@@ -505,57 +538,31 @@ def _tree_dp(ring: _Ring, flip: np.ndarray) -> complex:
     return complex(np.trace(F[0][letters, :bond[0], at[n]:at[n] + bond[n]]))
 
 
-def _recursion_size(a, spec: CumulantSpec, m: int) -> int:
-    """The complex entries planar_sum holds at once: its two interval
-    tables, times the letter contexts in the tree form, or plus the arrays
-    of open blocks in the block recursion."""
-    d, star = a.d, isinstance(a, StarCoefficientFamily)
-    letters = 2 * a.r if star else a.r
-    width = letters if star or spec.kind == "semicircle" else 2 * letters
-    sizes = _table_sizes(d, m, a.alpha, letters)
-    tables = sizes[0] ** 2 + sizes[1] ** 2
-    if spec.kind == "haar":
-        return (width + 1) * tables
-    # a step holds up to four arrays like the open blocks H (H, its product
-    # with a table, a class of columns of that and its image), each a table
-    # wide for every letter and row of the largest bond
-    return tables + 4 * width * _bond(d // 2, d, a.alpha, letters) * max(sizes)
-
-
 def planar_sum(a, spec: CumulantSpec, m: int) -> complex:
     """The moment Tr (x) phi((X X*)^m) as one planar contraction.
 
     Plain families under R-diagonal presets and star families both take the
     doubled alphabet of letters (k, star), in which a block's elements
-    alternate stars; a plain family under the semicircle takes its own
-    alphabet and pairs only.  The Haar preset takes the tree form, the others
-    the block recursion with alpha_{s/2} per block of s elements.
-    Raises ValueError for m < 1, when _recursion_size exceeds MOMENT_DP_CAP,
-    before any work, and for presets without a determining sequence on star
-    families.
+    alternate stars (the swap l ^ 1); a plain family under the semicircle
+    takes its own alphabet and pairs only.  The Haar preset takes the tree
+    form, the others the block recursion with alpha_{s/2} per block of s
+    elements.  Raises ValueError for m < 1, when the entries _Ring counts
+    exceed MOMENT_DP_CAP (before any tensor is built), and for presets
+    without a determining sequence on star families.
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    entries = _recursion_size(a, spec, m)
-    if entries > MOMENT_DP_CAP:
+    ring = _Ring(a, spec, m)
+    if ring.entries > MOMENT_DP_CAP:
         raise ValueError("moment recursion needs %d complex entries, past MOMENT_DP_CAP = %d"
-                         % (entries, MOMENT_DP_CAP))
-    d = a.d
-    star = isinstance(a, StarCoefficientFamily)
-    letters = 2 * a.r if star else a.r
-    pairs_only = spec.kind == "semicircle" and not star
-    width = letters if star or pairs_only else 2 * letters
-    if star:
-        groups = tuple(_merge_letters(t, d) for t in _star_group_tensors(a))
-    else:
-        groups = (a.dense(), _tilde_star_tensor(a.dense(), d))
-    ring = _Ring(groups, m, star_legs=width > letters)
-    if pairs_only:
-        return _block_dp(ring, np.arange(width), [1])
-    flip = np.arange(width) ^ 1
+                         % (ring.entries, MOMENT_DP_CAP))
+    ring.fill(_group_tensors(a))
+    if ring.pairs_only:
+        return _block_dp(ring, np.arange(ring.width), [1])
+    flip = np.arange(ring.width) ^ 1
     if spec.kind == "haar":
         return _tree_dp(ring, flip)
-    alphas = [complex(x) for x in spec.determining(d * m)]
+    alphas = [complex(x) for x in spec.determining(a.d * m)]
     while alphas and not alphas[-1]:
         alphas.pop()
     return _block_dp(ring, flip, alphas)
@@ -569,36 +576,35 @@ def _real_part(total: complex, what: str) -> float:
 
 
 def _unit_moment(a, moment_sum) -> tuple:
-    """(the moment of a / ||a||_2, ||a||_2^2), from moment_sum(family).
+    """(the moment of a / ||a||_2, ||a||_2), from moment_sum(family).
 
     The moment is homogeneous of degree 2m, so it is summed at unit norm,
     where its size no longer grows like ||a||_2^(2m).  The real part is
     clamped at 0 within rounding of that unit scale; a clearly negative
     value raises ArithmeticError.
     """
-    scale = a.frobenius_sq()
-    value = _real_part(moment_sum(a.scaled(1 / math.sqrt(scale)) if scale else a),
-                       "moment sum")
+    scale = a.frobenius()
+    value = _real_part(moment_sum(a.scaled(1 / scale) if scale else a), "moment sum")
     if value < -ABS_TOL:
         raise ArithmeticError("norm power is negative: %g" % value)
     return max(value, 0.0), scale
 
 
 def _rescaled(value: float, scale: float, m: int) -> float:
-    """value * scale^m; math.inf past the float range."""
+    """value * scale^(2m); math.inf past the float range."""
     try:
-        return value * scale ** m
-    except OverflowError:  # scale^m alone is past the float range
+        return value * scale ** (2 * m)
+    except OverflowError:  # scale^(2m) alone is past the float range
         pass
     try:
-        return math.exp(math.log(value) + m * math.log(scale)) if value else 0.0
+        return math.exp(math.log(value) + 2 * m * math.log(scale)) if value else 0.0
     except OverflowError:
         return math.inf
 
 
 def _norm_2m(value: float, scale: float, m: int) -> float:
-    """The 2m-norm from the unit-norm moment value and scale = ||a||_2^2."""
-    return math.sqrt(scale) * value ** (1.0 / (2 * m))
+    """The 2m-norm from the unit-norm moment value and scale = ||a||_2."""
+    return scale * value ** (1.0 / (2 * m))
 
 
 def _weighted_sum(members, weight_of, trace_of) -> complex:
@@ -615,7 +621,7 @@ def _enumerate_instead(a, spec: CumulantSpec, m: int, enumeration_cap: int) -> b
     """Whether a moment past MOMENT_DP_CAP is still within the enumeration
     cap of its family.  The large-d cells there have dense tensors small
     enough for the member-by-member sum but interval tables too large."""
-    return 2 * a.d * m <= enumeration_cap and _recursion_size(a, spec, m) > MOMENT_DP_CAP
+    return 2 * a.d * m <= enumeration_cap and _Ring(a, spec, m).entries > MOMENT_DP_CAP
 
 
 def _holo_sum(a: CoefficientFamily, spec: CumulantSpec, m: int) -> complex:
@@ -656,8 +662,7 @@ def holo_norm_2m(a: CoefficientFamily, spec: CumulantSpec, m: int) -> float:
 def ml_norms(a, m: int = None) -> list:
     """All d+1 block-matrix norms; Schatten 2m for integer m, operator norm
     (dense SVD) when m is None."""
-    build = build_Ml_star if isinstance(a, StarCoefficientFamily) else build_Ml
-    mats = [build(a, l) for l in range(a.d + 1)]
+    mats = [build_Ml(a, l) for l in range(a.d + 1)]
     if m is None:
         return [operator_norm(M.matrix) for M in mats]
     return [schatten_norm(M, m) for M in mats]
@@ -673,7 +678,7 @@ def holo_rhs_bound(a, spec: CumulantSpec, m: int = None) -> float:
     """
     d = a.d
     norms = ml_norms(a, m)
-    ell2 = math.sqrt(sum(x * x for x in norms))
+    ell2 = math.hypot(*norms)
     if m is None:
         base = math.sqrt(math.e) * ell2
         if spec.kind == "circular":

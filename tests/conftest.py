@@ -1,8 +1,16 @@
 """Shared brute-force oracles, kept independent of the library internals."""
 
 import math
+import os
 
-from ncfree.partitions import Partition
+# one BLAS thread, as benchmarks/run.py pins it, set before the first
+# ncfree import loads numpy: with another process busy on the second core a
+# multi-threaded SVD can take hundreds of times longer
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from ncfree.partitions import Partition  # noqa: E402
 
 
 def all_set_partitions(n):

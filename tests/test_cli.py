@@ -311,3 +311,60 @@ def test_verify_nonholo_with_column_shaped_block_matrices(capsys):
     code, out, err = run(capsys, "verify", "--suite", "nonholo", "--d", "6", "--m", "1")
     assert code == 0, err
     assert out.splitlines()[-1].startswith('nonholo-selfadjoint,"d=6,m=1"')
+
+
+@pytest.mark.parametrize("spec", ["rdiag:1,nan", "rdiag:inf"])
+def test_norm_non_finite_rdiag_exits_2(tmp_path, capsys, spec):
+    path = str(tmp_path / "fam.txt")
+    save_family(random_family(1, 2, 2, np.random.default_rng(44)), path)
+    code, out, err = run(capsys, "norm", "--family-file", path, "--spec", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("norm: rdiag:") and "non-finite" in err
+
+
+def _norm_values(capsys, path, spec):
+    code, out, err = run(capsys, "norm", "--family-file", path, "--spec", spec, "--m", "3")
+    assert code == 0, err
+    return {key: float(value) for key, value in
+            (line.split("=") for line in out.strip().splitlines())}
+
+
+@pytest.mark.parametrize("kind,spec", [("plain", "circular"), ("plain", "haar"),
+                                       ("plain", "semicircle"), ("star", "circular")])
+def test_norm_of_a_family_with_huge_cells_is_finite(tmp_path, capsys, kind, spec):
+    # ||a||_2^2 is past the float range; both sides are homogeneous of
+    # degree 1, so the ratio is that of a
+    for seed in (45, 46):
+        rng = np.random.default_rng(seed)
+        a = random_family(1, 2, 2, rng) if kind == "plain" else random_star_family(2, 2, 2, rng)
+        small, huge = str(tmp_path / "small.txt"), str(tmp_path / "huge.txt")
+        save_family(a, small)
+        save_family(a.scaled(1e200), huge)
+        reference = _norm_values(capsys, small, spec)
+        values = _norm_values(capsys, huge, spec)
+        assert all(math.isfinite(v) and v > 0 for v in values.values()), values
+        assert math.isclose(values["ratio"], reference["ratio"], rel_tol=1e-12)
+
+
+def test_verify_out_to_a_missing_directory_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "missing" / "x.csv")
+    code, out, err = run(capsys, "verify", "--suite", "counting", "--n", "3", "--out", path)
+    assert code == 2 and out == ""
+    assert err.startswith("verify: ") and path in err and "Traceback" not in err
+
+
+def test_enumerate_out_to_a_missing_directory_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "missing" / "x.csv")
+    code, out, err = run(capsys, "enumerate", "--family", "nc", "--n", "3", "--out", path)
+    assert code == 2 and out == ""
+    assert err.startswith("enumerate: ") and path in err and "Traceback" not in err
+
+
+def test_norm_of_a_family_whose_l2_norm_overflows_exits_2(tmp_path, capsys):
+    # every cell is finite, but ||a||_2 = 1.5e308 * sqrt(2) is not
+    path = str(tmp_path / "huge.txt")
+    with open(path, "w") as fh:
+        fh.write("1 2 1\n1 1.5e308,0\n2 1.5e308,0\n")
+    code, out, err = run(capsys, "norm", "--family-file", path, "--m", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("norm: ") and "float range" in err

@@ -317,3 +317,14 @@ def test_scalar_quantities_past_the_enumeration_cap():
     ell2 = math.sqrt(sum(x * x for x in ml_norms(a, 8)))
     expected = 4 ** 5 * math.e * math.sqrt(1 + 1 / 8) * ell2
     assert math.isclose(holo_rhs_bound(a, haar, 8), expected, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["rdiag:1,nan", "rdiag:inf", "rdiag:-inf,1"])
+def test_rdiag_rejects_non_finite_values(name):
+    with pytest.raises(ValueError, match="non-finite") as info:
+        CumulantSpec.from_name(name)
+    assert str(info.value).startswith("rdiag:")
+    with pytest.raises(ValueError, match="non-finite"):
+        CumulantSpec.r_diagonal([1, float("nan")])
+    # exact values past the float range are finite
+    assert CumulantSpec.r_diagonal([Fraction(10 ** 400, 3), 10 ** 400]).kind == "rdiag"

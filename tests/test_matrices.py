@@ -180,11 +180,14 @@ def test_trace_sum_matches_assignment_loop(d, m):
         assert abs(fast - slow) <= 1e-10 * max(1.0, abs(slow))
 
 
-def test_trace_sum_assignment_cap():
+def test_trace_sum_assignment_cap(monkeypatch):
+    from ncfree import matrices
+
     rng = np.random.default_rng(7)
     a = random_family(1, 3, 1, rng)
+    monkeypatch.setattr(matrices, "ASSIGNMENT_CAP", 10)
     with pytest.raises(ValueError):
-        trace_sum(a, parse_partition("1|2|3|4|5|6", 6), cap=10)
+        trace_sum(a, parse_partition("1|2|3|4|5|6", 6))
 
 
 @pytest.mark.parametrize("d,m", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
@@ -647,6 +650,8 @@ def test_star_trace_sum_matches_einsum_reference_on_even_block_partitions(
 
 
 def test_assignment_cap_raises_before_any_einsum(monkeypatch):
+    from ncfree import matrices
+
     plain = random_family(1, 3, 1, np.random.default_rng(7))
     star = random_star_family(1, 2, 1, np.random.default_rng(8))
 
@@ -654,10 +659,11 @@ def test_assignment_cap_raises_before_any_einsum(monkeypatch):
         raise AssertionError("an einsum ran before the assignment cap check")
 
     monkeypatch.setattr(np, "einsum", never)
+    monkeypatch.setattr(matrices, "ASSIGNMENT_CAP", 10)
     with pytest.raises(ValueError, match="exceeds cap 10"):
-        trace_sum_complex(plain, parse_partition("1|2|3|4|5|6", 6), cap=10)
+        trace_sum_complex(plain, parse_partition("1|2|3|4|5|6", 6))
     with pytest.raises(ValueError, match="exceeds cap 10"):
-        trace_sum_star_complex(star, parse_partition("1,2|3,4|5,6", 6), cap=10)
+        trace_sum_star_complex(star, parse_partition("1,2|3,4|5,6", 6))
 
 
 @pytest.mark.parametrize("m", [0, -1])
