@@ -443,20 +443,21 @@ def cmd_verify(args) -> int:
         if getattr(args, option) < 1:
             print("verify: --%s must be a positive integer" % option, file=sys.stderr)
             return 2
+    # opened before the suite runs, so an unwritable path costs no work
+    try:
+        out = open(args.out, "w", newline="") if args.out else sys.stdout
+    except OSError as exc:
+        print("verify: cannot write --out %s: %s" % (args.out, exc.strerror), file=sys.stderr)
+        return 2
     try:
         report = SUITES[args.suite](args)
+        report.write(out)
     except (ValueError, ArithmeticError) as exc:
         print("verify: %s" % exc, file=sys.stderr)
         return 2
-    if args.out:
-        try:
-            with open(args.out, "w", newline="") as fh:
-                report.write(fh)
-        except OSError as exc:
-            print("verify: cannot write --out %s: %s" % (args.out, exc.strerror), file=sys.stderr)
-            return 2
-    else:
-        report.write(sys.stdout)
+    finally:
+        if args.out:
+            out.close()
     return 0 if report.all_passed else 1
 
 
@@ -471,22 +472,25 @@ def cmd_norm(args) -> int:
         print("norm: %s" % exc, file=sys.stderr)
         return 2
     m = args.m
-    star = isinstance(fam, StarCoefficientFamily)
+    if isinstance(fam, StarCoefficientFamily) or spec.kind == "semicircle":
+        norm_2m, rhs_bound = nonholo_norm_2m, nonholo_rhs_bound
+    else:
+        norm_2m, rhs_bound = holo_norm_2m, holo_rhs_bound
     try:
-        if star or spec.kind == "semicircle":
-            lhs = nonholo_norm_2m(fam, spec, m)
-            rhs = nonholo_rhs_bound(fam, spec, m)
-        else:
-            lhs = holo_norm_2m(fam, spec, m)
-            rhs = holo_rhs_bound(fam, spec, m)
+        # both sides are homogeneous of degree 1, so they are computed at
+        # unit ||a||_2, where the ratio stays finite when the bound is not
+        scale = fam.frobenius()
+        unit = fam.scaled(1 / scale) if scale else fam
+        lhs = norm_2m(unit, spec, m)
+        rhs = rhs_bound(unit, spec, m)
     except (ValueError, ArithmeticError) as exc:
         print("norm: %s" % exc, file=sys.stderr)
         return 2
     norms = matrices.ml_norms(fam, m)
-    print("lhs_norm_2m=%s" % _fmt(lhs))
+    print("lhs_norm_2m=%s" % _fmt(scale * lhs))
     for l, value in enumerate(norms):
         print("M_%d_norm_2m=%s" % (l, _fmt(value)))
-    print("rhs_bound=%s" % _fmt(rhs))
+    print("rhs_bound=%s" % _fmt(scale * rhs))
     print("ratio=%s" % _fmt(lhs / rhs if rhs else math.inf))
     return 0
 

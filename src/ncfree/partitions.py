@@ -28,9 +28,18 @@ def cyclic_index(i: int, n: int) -> int:
 
 
 class Partition:
-    """A set partition of {1..n} in canonical block form."""
+    """A set partition of {1..n} in canonical block form.
 
-    __slots__ = ("n", "blocks", "_block_id")
+    A partition never changes, so values derived from it may be stored on
+    it the first time they are computed.  Two slots hold such values for
+    ncfree.symmetry, and neither takes part in equality or hashing:
+    _collapsed is the block count of collapse_pairs(p), set only once p
+    has been checked to have even blocks and no crossing (None before);
+    _cut_counts maps a cut k in 1..n to that count for symmetrize(p, k)
+    (None until the first cut is counted).
+    """
+
+    __slots__ = ("n", "blocks", "_block_id", "_collapsed", "_cut_counts")
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
         if n < 1:
@@ -52,6 +61,8 @@ class Partition:
         self.n = n
         self.blocks = tuple(canon)
         self._block_id = self._index(n, self.blocks)
+        self._collapsed = None
+        self._cut_counts = None
 
     @staticmethod
     def _index(n: int, blocks: tuple) -> tuple:
@@ -68,6 +79,8 @@ class Partition:
         p.n = n
         p.blocks = blocks
         p._block_id = cls._index(n, blocks)
+        p._collapsed = None
+        p._cut_counts = None
         return p
 
     def block_id(self, i: int) -> int:

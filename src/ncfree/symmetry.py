@@ -10,10 +10,14 @@ absorption probabilities for the induced Markov chain.
 
 Symmetrizations are built directly in canonical form, and collapsed block
 counts are read off the union-find merges without building the collapsed
-partition.  Absorption probabilities come from Gauss-Jordan elimination of
-the chain's equations, scaled by 2m to integers, on sparse rows over
-Python integers (each row kept divided by the gcd of its entries), so they
-are exact Fractions without Fraction arithmetic in the solve.
+partition.  A partition never changes, so once it is validated its
+collapsed count is stored on it, and so is the count of each cut's
+symmetrization: a martingale sweep over all 2m cuts builds, validates and
+counts each symmetrization once.  Absorption probabilities come from
+Gauss-Jordan elimination of the chain's equations, scaled by 2m to
+integers, on sparse rows over Python integers (each row kept divided by
+the gcd of its entries), so they are exact Fractions without Fraction
+arithmetic in the solve.
 """
 
 from __future__ import annotations
@@ -230,9 +234,15 @@ def _require_even_nc(p: Partition) -> None:
 
 
 def collapse_block_count(p: Partition) -> int:
-    """Block count of the pair-collapsed partition (even-block NC input)."""
-    _require_even_nc(p)
-    return _collapsed_count(p)
+    """Block count of the pair-collapsed partition (even-block NC input).
+
+    The count is stored on p once p is validated; invalid input raises
+    ValueError on every call and stores nothing.
+    """
+    if p._collapsed is None:
+        _require_even_nc(p)
+        p._collapsed = _collapsed_count(p)
+    return p._collapsed
 
 
 def _collapsed_count(p: Partition) -> int:
@@ -240,16 +250,29 @@ def _collapsed_count(p: Partition) -> int:
     return p.n // 2 - _collapse_forest(p)[1]
 
 
+def _cut_count(p: Partition, k: int) -> int:
+    """collapse_block_count(symmetrize(p, k)), stored on p by its cut in 1..n."""
+    k = cyclic_index(k, p.n)
+    if p._cut_counts is None:
+        p._cut_counts = {}
+    count = p._cut_counts.get(k)
+    if count is None:
+        count = p._cut_counts[k] = collapse_block_count(symmetrize(p, k))
+    return count
+
+
 def check_collapse_martingale(p: Partition, k: int) -> Tuple[int, int]:
     """Collapsed block counts after symmetrizing at cut k and at the
-    opposite cut k+m; their mean must equal the count of p itself."""
-    _require_even_nc(p)
-    m = p.n // 2
-    left = symmetrize(p, k)
-    right = symmetrize(p, cyclic_index(k + m, p.n))
-    b_left = collapse_block_count(left)
-    b_right = collapse_block_count(right)
-    if b_left + b_right != 2 * _collapsed_count(p):
+    opposite cut k+m; their mean must equal the count of p itself.
+
+    Each cut's count is computed once per partition (see _cut_count), so
+    a sweep of k over all 2m cuts builds and validates each symmetrization
+    once; the invariant is asserted on every call.
+    """
+    count = collapse_block_count(p)
+    b_left = _cut_count(p, k)
+    b_right = _cut_count(p, k + p.n // 2)
+    if b_left + b_right != 2 * count:
         raise AssertionError(
             "block-count invariant violated at k=%d for %s" % (k, format_partition(p))
         )

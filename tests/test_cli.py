@@ -368,3 +368,35 @@ def test_norm_of_a_family_whose_l2_norm_overflows_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "norm", "--family-file", path, "--m", "2")
     assert code == 2 and out == ""
     assert err.startswith("norm: ") and "float range" in err
+
+
+def test_verify_out_is_checked_before_the_suite_runs(tmp_path, monkeypatch, capsys):
+    from ncfree import cli
+
+    calls = []
+    monkeypatch.setitem(cli.SUITES, "martingale", lambda args: calls.append(args))
+    path = str(tmp_path / "missing" / "x.csv")
+    code, out, err = run(capsys, "verify", "--suite", "martingale", "--m", "6", "--out", path)
+    assert code == 2 and out == "" and path in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec", ["circular", "haar"])
+def test_norm_ratio_when_the_bound_overflows(tmp_path, capsys, spec):
+    # ||a||_2 fits the float range but the bound does not; both sides are
+    # homogeneous of degree 1, so the ratio is that of the family with cells 1
+    ones, huge = str(tmp_path / "ones.txt"), str(tmp_path / "huge.txt")
+    with open(ones, "w") as fh:
+        fh.write("1 2 1\n1 1,0\n2 1,0\n")
+    with open(huge, "w") as fh:
+        fh.write("1 2 1\n1 1e308,0\n2 1e308,0\n")
+    values = {}
+    for name, path in (("ones", ones), ("huge", huge)):
+        code, out, err = run(capsys, "norm", "--family-file", path, "--spec", spec)
+        assert code == 0, err
+        values[name] = {key: float(value) for key, value in
+                        (line.split("=") for line in out.strip().splitlines())}
+    assert values["huge"]["rhs_bound"] == math.inf
+    assert math.isclose(values["huge"]["ratio"], values["ones"]["ratio"], rel_tol=1e-12)
+    if spec == "circular":
+        assert math.isclose(values["huge"]["ratio"], 0.25258199528128, rel_tol=1e-12)

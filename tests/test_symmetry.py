@@ -409,3 +409,58 @@ def test_symmetrize_and_collapse_pairs_build_canonical_partitions():
             for k in range(1, n + 1):
                 q = symmetrize(p, k)
                 assert q == Partition(n, q.blocks)
+
+
+def _recounted(p: Partition, k: int) -> tuple:
+    """check_collapse_martingale(p, k) recomputed on fresh partitions."""
+    def count(cut):
+        return collapse_pairs(symmetrize(Partition(p.n, p.blocks), cut)).num_blocks
+    return count(k), count(k + p.n // 2)
+
+
+@pytest.mark.parametrize("d,m", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2)])
+def test_stored_collapse_counts_match_a_recomputation(d, m):
+    for p in enumerate_ncstar(GridShape(d, m)):
+        n = p.n
+        for k in [0] + list(range(1, n + 1)) + [n + 1]:
+            assert check_collapse_martingale(p, k) == _recounted(p, k)
+            assert collapse_block_count(p) == collapse_pairs(Partition(n, p.blocks)).num_blocks
+
+
+@pytest.mark.parametrize("d,m", [(1, 3), (2, 2)])
+def test_stored_collapse_counts_do_not_depend_on_call_order(d, m):
+    g = GridShape(d, m)
+    cuts = list(range(0, g.n + 2))
+    orders = {"ascending": cuts, "descending": cuts[::-1], "repeated": cuts + cuts[::-1] + cuts}
+    for name, order in orders.items():
+        for p in enumerate_ncstar(g):
+            seen = {}
+            for k in order:
+                got = (check_collapse_martingale(p, k), collapse_block_count(p))
+                assert seen.setdefault(k, got) == got, (name, p, k)
+                assert got == (_recounted(p, k), collapse_pairs(p).num_blocks), (name, p, k)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1,2,3|4", "partition must have even blocks: 1,2,3|4"),
+    ("1,3|2,4", "partition must be non-crossing: 1,3|2,4")])
+def test_invalid_input_fails_on_every_call(text, message):
+    # a failed validation is never stored as a count
+    p = parse_partition(text, 4)
+    calls = [collapse_block_count, lambda q: check_collapse_martingale(q, 1),
+             lambda q: check_collapse_martingale(q, 2), collapse_block_count]
+    for call in calls + calls:
+        with pytest.raises(ValueError) as info:
+            call(p)
+        assert str(info.value) == message
+
+
+def test_stored_counts_leave_equality_and_hashing_alone():
+    p = parse_partition("1,2,3,4|5,6|7,8", 8)
+    for k in range(1, 9):
+        check_collapse_martingale(p, k)
+    fresh = parse_partition("1,2,3,4|5,6|7,8", 8)
+    assert p == fresh and fresh == p and hash(p) == hash(fresh)
+    assert {fresh: "value"}[p] == "value" and {p: "value"}[fresh] == "value"
+    assert len({p, fresh}) == 1
+    assert p != parse_partition("1,2|3,4,5,6|7,8", 8)
