@@ -23,6 +23,7 @@ partitions.NC_ENUMERATION_CAP).
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, Iterable, Sequence, Tuple
 
 from .partitions import Partition, enumerate_nc
@@ -220,15 +221,18 @@ def _free_moments(kappas: Sequence, n: int) -> list:
 
     m_k = sum_s kappa_s [z^(k-s)] M(z)^s with M(z) = sum_j m_j z^j, where
     powers[s][j] = [z^j] M(z)^s needs only moments found before m_k, so the
-    pass is triangular and O(n^3).  Zero factors are skipped: a sum without
-    a nonzero term stays the int 0, as the NC sum it replaces does.
+    pass is triangular.  Powers past the last nonzero cumulant kappa_top are
+    never weighed, so they are not built: the pass is O(n^2 top).  Zero
+    factors are skipped: a sum without a nonzero term stays the int 0, as
+    the NC sum it replaces does.
     """
+    top = max((s for s, kappa in enumerate(kappas[:n], start=1) if kappa), default=0)
     moments = [1]
     powers = [[1] + [0] * n]
     for k in range(1, n + 1):
         powers.append([])
         total = 0
-        for s in range(1, k + 1):
+        for s in range(1, min(k, top) + 1):
             j = k - s
             lower = powers[s - 1]
             coeff = sum(moments[i] * lower[j - i] for i in range(j + 1)
@@ -289,7 +293,17 @@ def c_moment_2m(spec: CumulantSpec, m: int):
 
 
 def c_norm_2m(spec: CumulantSpec, m: int) -> float:
-    return float(c_moment_2m(spec, m)) ** (1.0 / (2 * m))
+    """The 2m-th root of c_moment_2m.
+
+    A positive exact moment (an integer or a Fraction) is rooted through
+    the logarithms of its numerator and denominator, so a moment past the
+    float range still has a finite norm; a float moment is rooted as it is.
+    """
+    value = c_moment_2m(spec, m)
+    if isinstance(value, numbers.Rational) and value > 0:
+        log = math.log(value.numerator) - math.log(value.denominator)
+        return math.exp(log / (2 * m))
+    return float(value) ** (1.0 / (2 * m))
 
 
 def c_norm_2(spec: CumulantSpec) -> float:

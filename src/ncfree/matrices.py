@@ -569,6 +569,8 @@ def planar_sum(a, spec: CumulantSpec, m: int) -> complex:
 
 
 def _real_part(total: complex, what: str) -> float:
+    if not cmath.isfinite(total):
+        raise ArithmeticError("%s is not finite: %r" % (what, total))
     bound = max(ABS_TOL, REL_TOL * abs(total.real))
     if abs(total.imag) > bound:
         raise ArithmeticError("%s has imaginary residual %g" % (what, total.imag))
@@ -581,7 +583,7 @@ def _unit_moment(a, moment_sum) -> tuple:
     The moment is homogeneous of degree 2m, so it is summed at unit norm,
     where its size no longer grows like ||a||_2^(2m).  The real part is
     clamped at 0 within rounding of that unit scale; a clearly negative
-    value raises ArithmeticError.
+    value, or a sum that is not finite, raises ArithmeticError.
     """
     scale = a.frobenius()
     value = _real_part(moment_sum(a.scaled(1 / scale) if scale else a), "moment sum")

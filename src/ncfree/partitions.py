@@ -13,6 +13,11 @@ one decides whether a block may grow by a candidate element, the other
 whether a block may be kept.  enumerate_nc passes predicates that always
 hold, so it yields NC(n) in the recursion's order rather than a sorted
 one; the constrained families of ncfree.families pass their own.
+
+The recursion runs in one generator on an explicit stack, one level per
+open segment.  Within a call, each segment's choices of (block, gaps) are
+built once and reused whenever that segment comes up again, so the
+predicates must be pure functions of their arguments.
 """
 
 from __future__ import annotations
@@ -204,35 +209,51 @@ def enumerate_nc_constrained(n: int, extend_ok, complete_ok) -> Iterator[Partiti
     elements, and the tail after its last one, are then partitioned the
     same way and independently.  With predicates that are always true this
     yields every non-crossing partition exactly once.
+
+    The recursion runs in this one generator, on an explicit stack holding
+    one iterator per open segment.  The (block, gaps) choices of a segment
+    are built once per call, the first time the segment comes up, and
+    reused every time it comes up again; so the predicates must be pure
+    functions of (block, cand) and of (block).  The whole ground set is a
+    segment only at the top, and its choices are not stored.
     """
-    for blocks in _constrained_blocks((tuple(range(1, n + 1)),), (), extend_ok, complete_ok):
-        yield Partition._trusted(n, blocks)
+    table = {}
+    stack = [(_segment_choices(1, n, extend_ok, complete_ok), (), ())]
+    while stack:
+        choices, later, acc = stack[-1]
+        for block, gaps in choices:
+            segments = gaps + later
+            if not segments:
+                yield Partition._trusted(n, acc + (block,))
+                continue
+            segment = segments[0]
+            inner = table.get(segment)
+            if inner is None:
+                inner = table[segment] = list(_segment_choices(*segment, extend_ok, complete_ok))
+            stack.append((iter(inner), segments[1:], acc + (block,)))
+            break
+        else:
+            stack.pop()
 
 
-def _constrained_blocks(segments: tuple, acc: tuple, extend_ok, complete_ok) -> Iterator[tuple]:
-    """acc followed by the blocks of each way to partition the segments in turn.
+def _segment_choices(lo: int, hi: int, extend_ok, complete_ok) -> Iterator[tuple]:
+    """Every (block, gaps) for the segment lo..hi, in the recursion's order.
 
-    Segments are nonempty runs of consecutive positions in increasing order;
-    the gaps of a block are put in front of the later segments, so the
-    blocks come out sorted by minimum, in canonical form.
+    The block holds lo; its gaps are the nonempty runs between its
+    consecutive elements and after its last one, each as a (first, last)
+    segment.  They go in front of the later segments, so the blocks come
+    out sorted by minimum, in canonical form.
     """
-    if not segments:
-        yield acc
-        return
-    segment, later = segments[0], segments[1:]
-    first, rest = segment[0], segment[1:]
 
     def grow(block: tuple, i0: int, gaps: tuple) -> Iterator[tuple]:
         if complete_ok(block):
-            yield block, gaps + ((rest[i0:],) if i0 < len(rest) else ())
-        for j in range(i0, len(rest)):
-            cand = rest[j]
+            yield block, gaps + (((i0, hi),) if i0 <= hi else ())
+        for cand in range(i0, hi + 1):
             if extend_ok(block, cand):
-                yield from grow(block + (cand,), j + 1,
-                                gaps + ((rest[i0:j],) if j > i0 else ()))
+                yield from grow(block + (cand,), cand + 1,
+                                gaps + (((i0, cand - 1),) if cand > i0 else ()))
 
-    for block, gaps in grow((first,), 0, ()):
-        yield from _constrained_blocks(gaps + later, acc + (block,), extend_ok, complete_ok)
+    return grow((lo,), lo + 1, ())
 
 
 def restrict(p: Partition, subset: Sequence[int]) -> Partition:

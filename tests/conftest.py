@@ -93,3 +93,33 @@ def symmetrization_by_clauses(p, k):
             seen.update(block)
             blocks.append(block)
     return Partition(n, blocks)
+
+
+def reference_nc_constrained(n, extend_ok, complete_ok):
+    """Block tuples of enumerate_nc_constrained, from the nested-generator
+    recursion the library used before it ran on an explicit stack.  Kept
+    verbatim as the reference for the order in which members come out."""
+    for blocks in _reference_constrained_blocks((tuple(range(1, n + 1)),), (),
+                                                extend_ok, complete_ok):
+        yield blocks
+
+
+def _reference_constrained_blocks(segments, acc, extend_ok, complete_ok):
+    if not segments:
+        yield acc
+        return
+    segment, later = segments[0], segments[1:]
+    first, rest = segment[0], segment[1:]
+
+    def grow(block, i0, gaps):
+        if complete_ok(block):
+            yield block, gaps + ((rest[i0:],) if i0 < len(rest) else ())
+        for j in range(i0, len(rest)):
+            cand = rest[j]
+            if extend_ok(block, cand):
+                yield from grow(block + (cand,), j + 1,
+                                gaps + ((rest[i0:j],) if j > i0 else ()))
+
+    for block, gaps in grow((first,), 0, ()):
+        yield from _reference_constrained_blocks(gaps + later, acc + (block,),
+                                                 extend_ok, complete_ok)

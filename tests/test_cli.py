@@ -400,3 +400,15 @@ def test_norm_ratio_when_the_bound_overflows(tmp_path, capsys, spec):
     assert math.isclose(values["huge"]["ratio"], values["ones"]["ratio"], rel_tol=1e-12)
     if spec == "circular":
         assert math.isclose(values["huge"]["ratio"], 0.25258199528128, rel_tol=1e-12)
+
+
+def test_norm_with_a_non_finite_unit_moment_exits_2(tmp_path, capsys):
+    # the scalar circular element at m=520: C_520 is past the float range
+    # even at unit ||a||_2, so the sum is not finite and must not print inf
+    path = str(tmp_path / "one.txt")
+    with open(path, "w") as fh:
+        fh.write("1 1 1\n1 1,0\n")
+    code, out, err = run(capsys, "norm", "--family-file", path, "--spec", "circular",
+                         "--m", "520")
+    assert code == 2 and out == ""
+    assert err.startswith("norm: ") and "not finite" in err and "Traceback" not in err

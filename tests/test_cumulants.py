@@ -328,3 +328,26 @@ def test_rdiag_rejects_non_finite_values(name):
         CumulantSpec.r_diagonal([1, float("nan")])
     # exact values past the float range are finite
     assert CumulantSpec.r_diagonal([Fraction(10 ** 400, 3), 10 ** 400]).kind == "rdiag"
+
+
+def test_c_norm_2m_past_the_float_range():
+    # C_520 is past the float range; its 2m-th root is not
+    m = 520
+    root = math.exp(math.log(catalan(m)) / (2 * m))
+    assert math.isclose(root, 1.98095, rel_tol=1e-5)
+    for spec in (CumulantSpec.circular(), CumulantSpec.semicircular()):
+        assert math.isclose(c_norm_2m(spec, m), root, rel_tol=1e-12)
+
+
+def test_c_norm_2m_of_a_fraction_past_the_float_range():
+    # alpha_1 = s scales the circular moment to s^m C_m: past the float
+    # range at m=40 for s = 10^8 and 10^8/3, so both numerator and
+    # denominator go through their logarithms
+    m = 40
+    root = math.exp(math.log(catalan(m)) / (2 * m))
+    for s in (Fraction(10 ** 8), Fraction(10 ** 8, 3)):
+        spec = CumulantSpec.r_diagonal([s])
+        assert isinstance(c_moment_2m(spec, m), Fraction)
+        assert math.isclose(c_norm_2m(spec, m), math.sqrt(s) * root, rel_tol=1e-12)
+    floats = CumulantSpec.r_diagonal([0.25])
+    assert c_norm_2m(floats, 3) == c_moment_2m(floats, 3) ** (1 / 6)

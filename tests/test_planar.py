@@ -262,3 +262,16 @@ def test_star_family_presets_without_determining_sequence():
     for spec in (SEMI, CumulantSpec.star_table(lambda pattern: 1)):
         with pytest.raises(ValueError, match="determining sequence"):
             nonholo_moment(a, spec, 2)
+
+
+@pytest.mark.parametrize("total", [complex(math.inf, 0), complex(math.nan, 0),
+                                   complex(math.inf, math.nan)])
+def test_non_finite_unit_moment_raises_in_both_functions(monkeypatch, total):
+    monkeypatch.setattr(matrices, "planar_sum", lambda a, spec, m: total)
+    rng = np.random.default_rng(801)
+    with pytest.raises(ArithmeticError, match="not finite"):
+        holo_moment(random_family(2, 2, 2, rng), SPECS["circular"], 2)
+    with pytest.raises(ArithmeticError, match="not finite"):
+        nonholo_moment(random_adjacent_distinct_family(2, 2, 2, rng), SEMI, 2)
+    with pytest.raises(ArithmeticError, match="not finite"):
+        nonholo_moment(random_star_family(2, 2, 2, rng), SPECS["haar"], 2)
