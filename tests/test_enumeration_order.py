@@ -33,15 +33,18 @@ def test_nc_order_matches_the_reference(n):
     assert _blocks(enumerate_nc(n)) == list(reference_nc_constrained(n, _always, _always))
 
 
+def _reference(monkeypatch, enumerator, g):
+    # the family's own predicates, handed to the reference recursion instead
+    with monkeypatch.context() as patch:
+        patch.setattr(families, "enumerate_nc_constrained", reference_nc_constrained)
+        return list(enumerator(g))
+
+
 @pytest.mark.parametrize("d,m", GRIDS)
 @pytest.mark.parametrize("enumerator", FAMILIES, ids=lambda f: f.__name__)
 def test_family_order_matches_the_reference(monkeypatch, enumerator, d, m):
     g = GridShape(d, m)
-    # the family's own predicates, handed to the reference recursion instead
-    with monkeypatch.context() as patch:
-        patch.setattr(families, "enumerate_nc_constrained", reference_nc_constrained)
-        expected = list(enumerator(g))
-    assert _blocks(enumerator(g)) == expected
+    assert _blocks(enumerator(g)) == _reference(monkeypatch, enumerator, g)
 
 
 def test_enumerate_cli_prints_the_reference_order(capsys):
@@ -54,24 +57,27 @@ def test_enumerate_cli_prints_the_reference_order(capsys):
     assert capsys.readouterr().out == expected.getvalue()
 
 
-def test_interleaved_calls_keep_their_own_choices():
-    # same ground set, different predicates: a table shared between the two
+def test_interleaved_calls_keep_their_own_choices(monkeypatch):
+    # same ground set, different predicates: choices shared between the
     # calls would hand one family the other's blocks
     g = GridShape(2, 3)
-    star, dm = _blocks(enumerate_ncstar(g)), _blocks(enumerate_ncdm(g))
+    star = _reference(monkeypatch, enumerate_ncstar, g)
+    dm = _reference(monkeypatch, enumerate_ncdm, g)
     assert star != dm
     both = list(zip_longest(enumerate_ncstar(g), enumerate_ncdm(g)))
     assert [p.blocks for p, _ in both if p is not None] == star
     assert [q.blocks for _, q in both if q is not None] == dm
-    nc = _blocks(enumerate_nc(g.n))
+    assert _blocks(enumerate_ncstar(g)) == star and _blocks(enumerate_ncdm(g)) == dm
+    nc = list(reference_nc_constrained(g.n, _always, _always))
+    pairs = _reference(monkeypatch, enumerate_ncstar2, g)
     mixed = list(zip(enumerate_nc(g.n), enumerate_ncstar2(g)))
     assert [p.blocks for p, _ in mixed] == nc[:len(mixed)]
-    assert [q.blocks for _, q in mixed] == _blocks(enumerate_ncstar2(g))
+    assert [q.blocks for _, q in mixed] == pairs
 
 
-def test_a_closed_enumeration_starts_again_from_the_top():
+def test_a_closed_enumeration_starts_again_from_the_top(monkeypatch):
     g = GridShape(2, 3)
-    full = _blocks(enumerate_ncdm(g))
+    full = _reference(monkeypatch, enumerate_ncdm, g)
     stream = enumerate_ncdm(g)
     assert _blocks(islice(stream, 7)) == full[:7]
     stream.close()
