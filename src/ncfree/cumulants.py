@@ -14,7 +14,10 @@ R-diagonal presets (circular, haar, rdiag), take exact closed recursions:
 the free cumulants of c c* are the NC(n) sums of prod_V alpha_|V| (Nica and
 Speicher, Lectures on the Combinatorics of Free Probability, lecture 15), and
 a one-variable NC sum follows the first-block recursion
-m_n = sum_s kappa_s [z^(n-s)] M(z)^s.  Odd alternating words give 0.  Words
+m_n = sum_s kappa_s [z^(n-s)] M(z)^s.  Odd alternating words give 0.  The
+Haar unitary's determining sequence is the closed form
+alpha_n = (-1)^(n-1) C_(n-1) (same lecture); inverting its moments, all 1,
+with determining_sequence_from_moments is the independent check.  Words
 with mixed indices, R-diagonal words whose stars do not alternate and the
 star_table hook are summed over NC(n), the only capped step (the constant
 partitions.NC_ENUMERATION_CAP).
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Callable, Iterable, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from .partitions import Partition, enumerate_nc
 
@@ -57,7 +60,7 @@ class CumulantSpec:
         if kind not in ("circular", "haar", "semicircle", "rdiag", "star_table"):
             raise ValueError("unknown cumulant kind %r" % kind)
         self.kind = kind
-        self._alphas = list(alphas)
+        self._alphas = tuple(alphas)
         self._table = table
         self.cyclic_alternation = cyclic_alternation
 
@@ -99,9 +102,12 @@ class CumulantSpec:
         if name == "semicircle":
             return cls.semicircular()
         if name.startswith("rdiag:"):
-            alphas = [float(tok) for tok in name[len("rdiag:"):].split(",") if tok]
-            if not alphas:
-                raise ValueError("empty determining sequence in %r" % name)
+            try:  # float("") raises too, so no empty value slips through
+                alphas = [float(tok) for tok in name[len("rdiag:"):].split(",")]
+            except ValueError:
+                raise ValueError("%s has an empty or unparsable value" % name) from None
+            if not all(map(math.isfinite, alphas)):
+                raise ValueError("%s has a non-finite value" % name)
             return cls.r_diagonal(alphas)
         raise ValueError("unknown spec name %r" % name)
 
@@ -112,23 +118,16 @@ class CumulantSpec:
 
     def determining(self, nmax: int) -> tuple:
         """Alternating cumulant values alpha_1..alpha_nmax."""
-        if self.kind == "circular":
-            return tuple([1] + [0] * (nmax - 1))
-        if self.kind == "rdiag":
-            padded = self._alphas + [0] * (nmax - len(self._alphas))
-            return tuple(padded[:nmax])
-        if self.kind == "haar":
-            self._ensure_haar(nmax)
-            return tuple(self._alphas[:nmax])
-        raise ValueError("kind %r has no determining sequence" % self.kind)
+        if self.kind not in ("circular", "haar", "rdiag"):
+            raise ValueError("kind %r has no determining sequence" % self.kind)
+        return tuple(self._alpha(n) for n in range(1, nmax + 1))
 
-    def _ensure_haar(self, nmax: int) -> None:
-        # Invert the alternating moments of a unitary (all equal to 1) rather
-        # than hardcoding the sequence; memoized across calls.
-        if len(self._alphas) < nmax:
-            self._alphas = list(
-                determining_sequence_from_moments(lambda w: 1, nmax, seed=self._alphas)
-            )
+    def _alpha(self, n: int):
+        """alpha_n: (-1)^(n-1) C_(n-1) for Haar, else the stored value (0 past
+        its end); one value costs no more than reading it from a table."""
+        if self.kind == "haar":
+            return (-1) ** (n - 1) * (math.comb(2 * n - 2, n - 1) // n)
+        return self._alphas[n - 1] if n <= len(self._alphas) else 0
 
     # -- block values --------------------------------------------------------
 
@@ -146,7 +145,7 @@ class CumulantSpec:
             return self._table(pattern)
         if size % 2 or not self._pattern_alternates(pattern):
             return 0
-        return self.determining(size // 2)[size // 2 - 1]
+        return self._alpha(size // 2)
 
 
 def kappa_pi(spec: CumulantSpec, p: Partition, word: Sequence[Letter]):
@@ -253,17 +252,15 @@ def _rdiag_moment(alphas: Sequence, n: int):
     return _free_moments(_free_moments(alphas, n)[1:], n)[n]
 
 
-def determining_sequence_from_moments(moments: Callable, nmax: int,
-                                      seed: Iterable = ()) -> tuple:
+def determining_sequence_from_moments(moments: Callable, nmax: int) -> tuple:
     """Recover alpha_1..alpha_nmax from alternating moments of lengths 2..2nmax.
 
     The conversion is triangular: alpha_n enters the length-2n moment only
     through its full-block term, with coefficient 1, so it is the moment
     minus the recursion value with alpha_n = 0.
-    `seed` may carry already-known leading values to resume the pass.
     """
-    alphas = list(seed)
-    for n in range(len(alphas) + 1, nmax + 1):
+    alphas = []
+    for n in range(1, nmax + 1):
         lower = _rdiag_moment(alphas + [0], n)
         alphas.append(moments(alternating_word(2 * n)) - lower)
     return tuple(alphas)

@@ -557,15 +557,18 @@ def planar_sum(a, spec: CumulantSpec, m: int) -> complex:
         raise ValueError("moment recursion needs %d complex entries, past MOMENT_DP_CAP = %d"
                          % (ring.entries, MOMENT_DP_CAP))
     ring.fill(_group_tensors(a))
-    if ring.pairs_only:
-        return _block_dp(ring, np.arange(ring.width), [1])
-    flip = np.arange(ring.width) ^ 1
-    if spec.kind == "haar":
-        return _tree_dp(ring, flip)
-    alphas = [complex(x) for x in spec.determining(a.d * m)]
-    while alphas and not alphas[-1]:
-        alphas.pop()
-    return _block_dp(ring, flip, alphas)
+    # a sum past the float range comes back inf or nan, for the caller to
+    # reject, without numpy warning about each overflowing product
+    with np.errstate(over="ignore", invalid="ignore"):
+        if ring.pairs_only:
+            return _block_dp(ring, np.arange(ring.width), [1])
+        flip = np.arange(ring.width) ^ 1
+        if spec.kind == "haar":
+            return _tree_dp(ring, flip)
+        alphas = [complex(x) for x in spec.determining(a.d * m)]
+        while alphas and not alphas[-1]:
+            alphas.pop()
+        return _block_dp(ring, flip, alphas)
 
 
 def _real_part(total: complex, what: str) -> float:
@@ -679,17 +682,12 @@ def holo_rhs_bound(a, spec: CumulantSpec, m: int = None) -> float:
     in the m=None form, where sqrt(e) replaces e*sqrt(1+d/m)).
     """
     d = a.d
-    norms = ml_norms(a, m)
-    ell2 = math.hypot(*norms)
-    if m is None:
-        base = math.sqrt(math.e) * ell2
-        if spec.kind == "circular":
-            return base
-        return 4 ** 5 * c_norm_2(spec) ** (d - 2) * c_operator_norm(spec) ** 2 * base
-    base = math.e * math.sqrt(1 + d / m) * ell2
+    ell2 = math.hypot(*ml_norms(a, m))
+    base = math.sqrt(math.e) * ell2 if m is None else math.e * math.sqrt(1 + d / m) * ell2
     if spec.kind == "circular":
         return base
-    return 4 ** 5 * c_norm_2(spec) ** (d - 2) * c_norm_2m(spec, m) ** 2 * base
+    cp = c_operator_norm(spec) if m is None else c_norm_2m(spec, m)
+    return 4 ** 5 * c_norm_2(spec) ** (d - 2) * cp ** 2 * base
 
 
 def _check_adjacent_support(a: CoefficientFamily) -> None:

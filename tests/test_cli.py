@@ -412,3 +412,37 @@ def test_norm_with_a_non_finite_unit_moment_exits_2(tmp_path, capsys):
                          "--m", "520")
     assert code == 2 and out == ""
     assert err.startswith("norm: ") and "not finite" in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_norm_with_a_non_finite_unit_moment_exits_2_without_warnings(tmp_path, capsys):
+    path = str(tmp_path / "one.txt")
+    with open(path, "w") as fh:
+        fh.write("1 1 1\n1 1,0\n")
+    code, out, err = run(capsys, "norm", "--family-file", path, "--spec", "circular",
+                         "--m", "520")
+    assert code == 2 and out == ""
+    assert err.startswith("norm: ") and "not finite" in err
+
+
+@pytest.mark.parametrize("spec", ["rdiag:1,,0.5", "rdiag:1,", "rdiag:,1", "rdiag:abc",
+                                  "rdiag:1e400"])
+def test_norm_malformed_rdiag_exits_2_naming_the_spec(tmp_path, capsys, spec):
+    path = str(tmp_path / "fam.txt")
+    save_family(random_family(1, 2, 2, np.random.default_rng(44)), path)
+    code, out, err = run(capsys, "norm", "--family-file", path, "--spec", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("norm: %s " % spec)
+
+
+def test_martingale_violation_is_a_failing_row(monkeypatch, capsys):
+    from ncfree import symmetry
+
+    cut_count = symmetry._cut_count
+    monkeypatch.setattr(symmetry, "_cut_count",
+                        lambda p, k: cut_count(p, k) + (k == 1))
+    code, out, err = run(capsys, "verify", "--suite", "martingale", "--m", "2")
+    assert code == 1 and "Traceback" not in err
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 2 and all(row.startswith("martingale,") for row in rows)
+    assert all(row.split(",")[-2] == "0" for row in rows)

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from fractions import Fraction
@@ -132,7 +133,7 @@ def test_haar_determining_sequence():
     haar = CumulantSpec.haar_unitary()
     values = haar.determining(6)
     assert values == tuple((-1) ** (n - 1) * catalan(n - 1) for n in range(1, 7))
-    # memoized: asking again for fewer must reuse
+    # a shorter sequence is a prefix of the longer one
     assert haar.determining(3) == values[:3]
 
 
@@ -351,3 +352,70 @@ def test_c_norm_2m_of_a_fraction_past_the_float_range():
         assert math.isclose(c_norm_2m(spec, m), math.sqrt(s) * root, rel_tol=1e-12)
     floats = CumulantSpec.r_diagonal([0.25])
     assert c_norm_2m(floats, 3) == c_moment_2m(floats, 3) ** (1 / 6)
+
+
+@pytest.mark.parametrize("name", ["rdiag:1,,0.5", "rdiag:1,", "rdiag:,1", "rdiag:abc",
+                                  "rdiag:1e400"])
+def test_rdiag_rejects_malformed_lists_naming_the_spec(name):
+    with pytest.raises(ValueError) as info:
+        CumulantSpec.from_name(name)
+    assert str(info.value).startswith(name + " ")
+
+
+@pytest.mark.parametrize("spec", [CumulantSpec.haar_unitary(), CumulantSpec.circular(),
+                                  CumulantSpec.from_name("rdiag:1,-0.5,0.25")],
+                         ids=["haar", "circular", "rdiag"])
+def test_spec_holds_no_state_that_a_call_changes(spec):
+    before = copy.deepcopy(vars(spec))
+    spec.determining(64)
+    c_norm_2m(spec, 64)
+    word = alternating_word(8)
+    for p in enumerate_nc(8):
+        kappa_pi(spec, p, word)
+    assert vars(spec) == before
+
+
+def test_haar_closed_form_matches_the_inversion():
+    haar = CumulantSpec.haar_unitary()
+    inverted = determining_sequence_from_moments(lambda w: 1, 40)
+    for n in range(1, 41):
+        values = haar.determining(n)
+        assert values == inverted[:n]
+        assert all(type(v) is int for v in values)
+
+
+def test_haar_norm_at_large_m():
+    # the unitary's moments are all 1, at any m
+    assert c_norm_2m(CumulantSpec.haar_unitary(), 256) == 1.0
+
+
+def _two_branch_holo_rhs_bound(a, spec, m):
+    """holo_rhs_bound as written with separate m=None and integer-m branches."""
+    d = a.d
+    norms = ml_norms(a, m)
+    ell2 = math.hypot(*norms)
+    if m is None:
+        base = math.sqrt(math.e) * ell2
+        if spec.kind == "circular":
+            return base
+        return 4 ** 5 * c_norm_2(spec) ** (d - 2) * c_operator_norm(spec) ** 2 * base
+    base = math.e * math.sqrt(1 + d / m) * ell2
+    if spec.kind == "circular":
+        return base
+    return 4 ** 5 * c_norm_2(spec) ** (d - 2) * c_norm_2m(spec, m) ** 2 * base
+
+
+@pytest.mark.parametrize("name", ["circular", "haar", "semicircle", "rdiag:1,-0.5,0.25"])
+def test_holo_rhs_bound_is_the_two_branch_formula_bit_for_bit(name):
+    spec = CumulantSpec.from_name(name)
+    rng = np.random.default_rng(57)
+    for d in (1, 2, 3):
+        a = random_family(d, 2, 2, rng)
+        for m in (None, 1, 2, 5):
+            if m is None and name.startswith("rdiag:"):
+                # no preset operator norm: both forms raise
+                for bound in (holo_rhs_bound, _two_branch_holo_rhs_bound):
+                    with pytest.raises(ValueError, match="no preset operator norm"):
+                        bound(a, spec, m)
+                continue
+            assert holo_rhs_bound(a, spec, m) == _two_branch_holo_rhs_bound(a, spec, m)

@@ -1,6 +1,7 @@
 """The planar interval recursion behind holo_moment and nonholo_moment,
 against the enumerated cumulant sums it replaces and against the oracles."""
 
+import cmath
 import math
 
 import numpy as np
@@ -275,3 +276,13 @@ def test_non_finite_unit_moment_raises_in_both_functions(monkeypatch, total):
         nonholo_moment(random_adjacent_distinct_family(2, 2, 2, rng), SEMI, 2)
     with pytest.raises(ArithmeticError, match="not finite"):
         nonholo_moment(random_star_family(2, 2, 2, rng), SPECS["haar"], 2)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec", [SPECS["circular"], SPECS["haar"], SEMI],
+                         ids=["circular", "haar", "semicircle"])
+def test_overflowing_planar_sum_is_non_finite_without_warnings(spec):
+    # (1e200)^4 is past the float range: the sum comes back inf or nan for
+    # the caller's check, and numpy prints nothing
+    huge = matrices.CoefficientFamily(1, 1, 1, {(1,): [[1e200]]})
+    assert not cmath.isfinite(planar_sum(huge, spec, 2))
