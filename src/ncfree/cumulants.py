@@ -8,16 +8,14 @@ determining sequence and a raw table hook.  Letters of a word are pairs
 (alphabet index, starred?); mixed indices inside a block kill the block, so
 freeness is built in.
 
-Moments of one-index words are not enumerated.  Any such word of the
-semicircle, and the alternating words c c* c c* ... (either start) of the
-R-diagonal presets (circular, haar, rdiag), take exact closed recursions:
-the free cumulants of c c* are the NC(n) sums of prod_V alpha_|V| (Nica and
-Speicher, Lectures on the Combinatorics of Free Probability, lecture 15), and
-a one-variable NC sum follows the first-block recursion
-m_n = sum_s kappa_s [z^(n-s)] M(z)^s.  Odd alternating words give 0.  The
-Haar unitary's determining sequence is the closed form
-alpha_n = (-1)^(n-1) C_(n-1) (same lecture); inverting its moments, all 1,
-with determining_sequence_from_moments is the independent check.  Words
+Moments of one-index words are not enumerated.  Those of the semicircle,
+alpha = (1,), and of the alternating words (c c* c ... or c* c c* ...) of
+the R-diagonal presets are, at length 2n, the 2n-th moment of the even
+variable with free cumulants kappa_2s = alpha_s (Nica and Speicher, Lectures
+on the Combinatorics of Free Probability, lecture 15), by the first-block
+recursion m_n = sum_s kappa_s [z^(n-s)] M(z)^s.  Odd words give 0 and Haar's
+even ones 1 (u u* = 1); determining_sequence_from_moments inverts these
+through the recursion, checking alpha_n = (-1)^(n-1) C_(n-1).  Words
 with mixed indices, R-diagonal words whose stars do not alternate and the
 star_table hook are summed over NC(n), the only capped step (the constant
 partitions.NC_ENUMERATION_CAP).
@@ -205,14 +203,15 @@ def _one_index_moment(spec: CumulantSpec, word: tuple):
     if spec.kind == "star_table" or len({idx for idx, _ in word}) != 1:
         return None
     n = len(word)
-    if spec.kind == "semicircle":  # its block values ignore the stars
-        return _free_moments((0, 1), n)[n]
-    stars = [star for _, star in word]
-    if any(x == y for x, y in zip(stars, stars[1:])):
+    # the semicircle's block values ignore the stars
+    if spec.kind != "semicircle" and any(x[1] == y[1] for x, y in zip(word, word[1:])):
         return None
     if n % 2:  # every partition has an odd block
         return 0
-    return _rdiag_moment(spec.determining(n // 2), n // 2)
+    if spec.kind == "haar":  # u u* = 1
+        return 1
+    alphas = (1,) if spec.kind == "semicircle" else spec.determining(n // 2)
+    return _rdiag_moment(alphas, n // 2)
 
 
 def _free_moments(kappas: Sequence, n: int) -> list:
@@ -246,10 +245,10 @@ def _free_moments(kappas: Sequence, n: int) -> list:
 def _rdiag_moment(alphas: Sequence, n: int):
     """phi((c c*)^n) of an R-diagonal c with determining sequence alphas.
 
-    The free cumulants of c c* are the moments of a variable whose free
-    cumulants are the alphas; the moments of c c* follow from them.
+    It is the 2n-th moment of the even variable with free cumulants
+    kappa_2s = alpha_s: non-crossing blocks that are all even alternate c, c*.
     """
-    return _free_moments(_free_moments(alphas, n)[1:], n)[n]
+    return _free_moments([x for alpha in alphas[:n] for x in (0, alpha)], 2 * n)[2 * n]
 
 
 def determining_sequence_from_moments(moments: Callable, nmax: int) -> tuple:
