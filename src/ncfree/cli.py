@@ -491,7 +491,8 @@ def cmd_norm(args) -> int:
     for l, value in enumerate(norms):
         print("M_%d_norm_2m=%s" % (l, _fmt(value)))
     print("rhs_bound=%s" % _fmt(scale * rhs))
-    print("ratio=%s" % _fmt(lhs / rhs if rhs else math.inf))
+    # 0 <= 0 holds, so a zero family is not infinitely far from its bound
+    print("ratio=%s" % _fmt(lhs / rhs if rhs else (math.inf if lhs else 0.0)))
     return 0
 
 

@@ -294,8 +294,14 @@ def c_norm_2m(spec: CumulantSpec, m: int) -> float:
     A positive exact moment (an integer or a Fraction) is rooted through
     the logarithms of its numerator and denominator, so a moment past the
     float range still has a finite norm; a float moment is rooted as it is.
+    Raises ArithmeticError, naming the spec and m, on a negative moment,
+    which no operator has.
     """
     value = c_moment_2m(spec, m)
+    if value < 0:
+        name = "rdiag:" + ",".join(map(str, spec._alphas)) if spec.kind == "rdiag" else spec.kind
+        raise ArithmeticError("%s at m=%d: phi((c c*)^m) = %s is negative, so there is "
+                              "no 2m-norm" % (name, m, value))
     if isinstance(value, numbers.Rational) and value > 0:
         log = math.log(value.numerator) - math.log(value.denominator)
         return math.exp(log / (2 * m))

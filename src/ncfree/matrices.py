@@ -630,8 +630,6 @@ def _enumerate_instead(a, spec: CumulantSpec, m: int, enumeration_cap: int) -> b
 
 
 def _holo_sum(a: CoefficientFamily, spec: CumulantSpec, m: int) -> complex:
-    if m < 1:
-        raise ValueError("need m >= 1")
     if spec.kind == "semicircle":
         # every star-family block alternates stars, so the semicircle's
         # pairs weigh exactly what the circular cumulants do
@@ -645,6 +643,14 @@ def _holo_sum(a: CoefficientFamily, spec: CumulantSpec, m: int) -> complex:
                          lambda p: trace_sum_complex(a, p))
 
 
+def _holo_unit_moment(a: CoefficientFamily, spec: CumulantSpec, m: int) -> tuple:
+    if isinstance(a, StarCoefficientFamily):
+        raise ValueError("holomorphic moments take a plain family, not a star family")
+    if m < 1:
+        raise ValueError("need m >= 1")
+    return _unit_moment(a, lambda unit: _holo_sum(unit, spec, m))
+
+
 def holo_moment(a: CoefficientFamily, spec: CumulantSpec, m: int) -> float:
     """The 2m-th moment power: cumulant-weighted trace sums over the star family.
 
@@ -654,14 +660,14 @@ def holo_moment(a: CoefficientFamily, spec: CumulantSpec, m: int) -> float:
     planar_sum too.  The star_table hook, and a moment past MOMENT_DP_CAP
     but within the star-family cap, keep the enumerated sum.  The sum runs
     at unit norm; past the float range the power is math.inf.  Raises
-    ValueError for m < 1.
+    ValueError for m < 1 and for a star family.
     """
-    return _rescaled(*_unit_moment(a, lambda unit: _holo_sum(unit, spec, m)), m)
+    return _rescaled(*_holo_unit_moment(a, spec, m), m)
 
 
 def holo_norm_2m(a: CoefficientFamily, spec: CumulantSpec, m: int) -> float:
     """Exact 2m-norm of sum_k a_k (x) c_{k_1}..c_{k_d} for R-diagonal presets."""
-    return _norm_2m(*_unit_moment(a, lambda unit: _holo_sum(unit, spec, m)), m)
+    return _norm_2m(*_holo_unit_moment(a, spec, m), m)
 
 
 def ml_norms(a, m: int = None) -> list:

@@ -446,3 +446,36 @@ def test_martingale_violation_is_a_failing_row(monkeypatch, capsys):
     rows = out.strip().splitlines()[1:]
     assert len(rows) == 2 and all(row.startswith("martingale,") for row in rows)
     assert all(row.split(",")[-2] == "0" for row in rows)
+
+
+@pytest.mark.parametrize("spec,m", [("rdiag:1,-3", "2"), ("rdiag:1,-1.5", "3")])
+def test_norm_of_a_spec_with_a_negative_moment_exits_2(tmp_path, capsys, spec, m):
+    # phi((c c*)^m) < 0 has no real 2m-th root; it used to print a complex bound
+    path = tmp_path / "fam.txt"
+    path.write_text("1 3 1\n1 1,0\n2 1,0\n3 1,0\n")
+    code, out, err = run(capsys, "norm", "--family-file", str(path), "--spec", spec, "--m", m)
+    assert code == 2 and out == ""
+    assert err.startswith("norm: rdiag:") and "m=%s" % m in err and "negative" in err
+
+
+@pytest.mark.parametrize("text", ["1 2 1\n", "1 2 1\n1 0,0\n2 0,0\n"], ids=["empty", "zeros"])
+def test_norm_of_a_zero_family_has_ratio_0(tmp_path, capsys, text):
+    path = tmp_path / "zero.txt"
+    path.write_text(text)
+    for spec in ("circular", "haar", "semicircle"):
+        code, out, err = run(capsys, "norm", "--family-file", str(path), "--spec", spec,
+                             "--m", "2")
+        assert code == 0, err
+        values = dict(line.split("=") for line in out.strip().splitlines())
+        assert values["lhs_norm_2m"] == values["rhs_bound"] == values["ratio"] == "0"
+
+
+def test_norm_over_a_zero_bound_keeps_ratio_inf(tmp_path, monkeypatch, capsys):
+    from ncfree import cli
+
+    monkeypatch.setattr(cli, "holo_rhs_bound", lambda a, spec, m: 0.0)
+    path = str(tmp_path / "fam.txt")
+    save_family(random_family(1, 2, 2, np.random.default_rng(45)), path)
+    code, out, err = run(capsys, "norm", "--family-file", path, "--spec", "circular", "--m", "2")
+    assert code == 0, err
+    assert out.strip().splitlines()[-1] == "ratio=inf"

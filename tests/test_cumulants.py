@@ -32,6 +32,8 @@ from ncfree.cumulants import (
     moment_from_cumulants,
     plain_word,
     rdiag_block_weight,
+    _free_moments,
+    _rdiag_moment,
 )
 
 
@@ -419,3 +421,57 @@ def test_holo_rhs_bound_is_the_two_branch_formula_bit_for_bit(name):
                         bound(a, spec, m)
                 continue
             assert holo_rhs_bound(a, spec, m) == _two_branch_holo_rhs_bound(a, spec, m)
+
+
+def _two_pass_rdiag_moments(alphas, nmax):
+    """phi((c c*)^n) for n <= nmax by two chained passes: the free cumulants
+    of c c* are the moments of the variable with free cumulants alphas."""
+    return _free_moments(_free_moments(alphas, nmax)[1:], nmax)
+
+
+def test_one_pass_matches_the_two_pass_recursion():
+    # value and type for random int and Fraction sequences, to 1e-12 for
+    # floats; zero entries inside and past the end of a sequence included
+    rng = random.Random(13)
+    seqs = [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(6)], [0, 2, 0, -1], [2],
+            [Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)) for _ in range(6)],
+            [Fraction(0), Fraction(1, 3), Fraction(-2, 7)],
+            [rng.uniform(-2, 2) for _ in range(6)], [0.0, 1.5, 0.0, -0.25]]
+    for alphas in seqs:
+        reference = _two_pass_rdiag_moments(alphas, 64)
+        for n in list(range(17)) + [24, 32, 48, 64]:
+            _same(_rdiag_moment(alphas, n), reference[n])
+
+
+def test_haar_closed_form_through_the_recursion_gives_int_1():
+    haar = CumulantSpec.haar_unitary()
+    for n in range(1, 61):
+        value = _rdiag_moment(haar.determining(n), n)
+        assert type(value) is int and value == 1
+
+
+@pytest.mark.parametrize("m", [200, 1000])
+def test_c_moment_2m_is_the_exact_catalan_number(m):
+    for spec in (CumulantSpec.circular(), CumulantSpec.semicircular()):
+        value = c_moment_2m(spec, m)
+        assert type(value) is int and value == catalan(m)
+
+
+def test_haar_alternating_moments_in_closed_form():
+    haar = CumulantSpec.haar_unitary()
+    for n in range(1, 401):
+        for word in (alternating_word(n), tuple((idx, not star) for idx, star in
+                                                alternating_word(n))):
+            value = moment_from_cumulants(haar, word)
+            assert type(value) is int and value == 1 - n % 2
+
+
+@pytest.mark.parametrize("name,m", [("rdiag:1,-3", 2), ("rdiag:1,-1.5", 3)])
+def test_c_norm_2m_of_a_negative_moment_raises_naming_spec_and_m(name, m):
+    spec = CumulantSpec.from_name(name)
+    assert c_moment_2m(spec, m) < 0
+    with pytest.raises(ArithmeticError, match="negative") as info:
+        c_norm_2m(spec, m)
+    assert "rdiag:1.0," in str(info.value) and "m=%d" % m in str(info.value)
+    with pytest.raises(ArithmeticError, match=r"rdiag:1,-3 at m=2"):
+        c_norm_2m(CumulantSpec.r_diagonal([1, -3]), 2)

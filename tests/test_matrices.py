@@ -682,3 +682,19 @@ def test_moments_need_m_at_least_1(m):
     for call in calls:
         with pytest.raises(ValueError, match="need m >= 1"):
             call()
+
+
+@pytest.mark.parametrize("cap", [None, 0], ids=["recursion", "enumeration"])
+def test_holomorphic_moments_reject_a_star_family(monkeypatch, cap):
+    # the holomorphic statement is about plain families; a star family must
+    # not get one answer from the recursion and another from the enumeration
+    from ncfree import matrices
+
+    if cap is not None:
+        monkeypatch.setattr(matrices, "MOMENT_DP_CAP", cap)
+    monkeypatch.setattr(matrices, "_unit_moment", lambda *args: pytest.fail("work was done"))
+    star = random_star_family(2, 2, 2, np.random.default_rng(1))
+    for spec in (CumulantSpec.circular(), CumulantSpec.haar_unitary()):
+        for call in (holo_moment, holo_norm_2m):
+            with pytest.raises(ValueError, match="star family"):
+                call(star, spec, 2)
