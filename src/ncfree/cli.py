@@ -439,7 +439,7 @@ def cmd_verify(args) -> int:
         print("verify: unknown suite %r (choose from %s)"
               % (args.suite, ", ".join(sorted(SUITES))), file=sys.stderr)
         return 2
-    for option in ("n", "d", "m", "trials"):
+    for option in ("n", "d", "m", "r", "alpha", "trials"):
         if getattr(args, option) < 1:
             print("verify: --%s must be a positive integer" % option, file=sys.stderr)
             return 2

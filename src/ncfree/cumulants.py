@@ -51,7 +51,11 @@ def holo_word(d: int, m: int, index: int = 1) -> tuple:
 
 
 class CumulantSpec:
-    """Block-cumulant evaluator for one operator type."""
+    """Block-cumulant evaluator for one operator type.
+
+    `name` is the spelling that from_name parsed (rdiag:1,-3 stays as it
+    was written), else the name of its values as they were read.
+    """
 
     def __init__(self, kind: str, alphas: Sequence = (), table: Callable = None,
                  cyclic_alternation: bool = True):
@@ -61,6 +65,8 @@ class CumulantSpec:
         self._alphas = tuple(alphas)
         self._table = table
         self.cyclic_alternation = cyclic_alternation
+        self._parsed = kind + (":" + ",".join(map(str, self._alphas)) if kind == "rdiag" else "")
+        self.name = self._parsed
 
     # -- factories ---------------------------------------------------------
 
@@ -93,24 +99,24 @@ class CumulantSpec:
     @classmethod
     def from_name(cls, name: str) -> "CumulantSpec":
         """Parse CLI spellings: circular, haar, semicircle, rdiag:1,-0.5,..."""
-        if name == "circular":
-            return cls.circular()
-        if name == "haar":
-            return cls.haar_unitary()
-        if name == "semicircle":
-            return cls.semicircular()
-        if name.startswith("rdiag:"):
-            try:  # float("") raises too, so no empty value slips through
-                alphas = [float(tok) for tok in name[len("rdiag:"):].split(",")]
-            except ValueError:
-                raise ValueError("%s has an empty or unparsable value" % name) from None
-            if not all(map(math.isfinite, alphas)):
-                raise ValueError("%s has a non-finite value" % name)
-            return cls.r_diagonal(alphas)
-        raise ValueError("unknown spec name %r" % name)
+        presets = {"circular": cls.circular, "haar": cls.haar_unitary,
+                   "semicircle": cls.semicircular}
+        if name in presets:
+            return presets[name]()
+        if not name.startswith("rdiag:"):
+            raise ValueError("unknown spec name %r" % name)
+        try:  # float("") raises too, so no empty value slips through
+            alphas = [float(tok) for tok in name[len("rdiag:"):].split(",")]
+        except ValueError:
+            raise ValueError("%s has an empty or unparsable value" % name) from None
+        if not all(map(math.isfinite, alphas)):
+            raise ValueError("%s has a non-finite value" % name)
+        spec = cls.r_diagonal(alphas)
+        spec.name = name
+        return spec
 
     def __repr__(self) -> str:
-        return "CumulantSpec(%r)" % self.kind
+        return "CumulantSpec(%r)" % self.name
 
     # -- determining sequence ----------------------------------------------
 
@@ -294,14 +300,14 @@ def c_norm_2m(spec: CumulantSpec, m: int) -> float:
     A positive exact moment (an integer or a Fraction) is rooted through
     the logarithms of its numerator and denominator, so a moment past the
     float range still has a finite norm; a float moment is rooted as it is.
-    Raises ArithmeticError, naming the spec and m, on a negative moment,
-    which no operator has.
+    Raises ArithmeticError on a negative moment, which no operator has,
+    naming m and the spec as it was spelled and as its values were read.
     """
     value = c_moment_2m(spec, m)
     if value < 0:
-        name = "rdiag:" + ",".join(map(str, spec._alphas)) if spec.kind == "rdiag" else spec.kind
-        raise ArithmeticError("%s at m=%d: phi((c c*)^m) = %s is negative, so there is "
-                              "no 2m-norm" % (name, m, value))
+        name = spec.name + ("" if spec._parsed == spec.name else " (read as %s)" % spec._parsed)
+        raise ArithmeticError("%s at m=%d: phi((c c*)^m) = %s is negative, so there is no "
+                              "2m-norm" % (name, m, value))
     if isinstance(value, numbers.Rational) and value > 0:
         log = math.log(value.numerator) - math.log(value.denominator)
         return math.exp(log / (2 * m))

@@ -15,10 +15,14 @@ conjugation is the letter swap l ^ 1.
 
 A moment is a cumulant-weighted sum of trace sums over every non-crossing
 partition, and `planar_sum` evaluates it without enumerating any: each
-group tensor is split into d site tensors, and an interval recursion over
+group tensor is split into d site tensors, and one interval recursion over
 the 2dm positions (the block of the first position closes at some q, the
 gaps and the rest are smaller intervals) sums the planar contraction in
-polynomial time.  The star_table hook, and the few large-d cells past
+polynomial time.  Its tables carry a letter context.  The circular,
+semicircular and rdiag: presets need one.  Haar takes Kesten's first-return
+form, pairs of weight 1 with no signed cumulant: its context names the
+letter that may not open a block, the inverse of the letter below, or
+nothing below.  The star_table hook, and the few large-d cells past
 MOMENT_DP_CAP but within the old enumeration caps, still sum
 `_weighted_sum` over an enumerated family.  Moments are summed for the
 family scaled to unit norm and scaled back.  Operator norms are exact
@@ -54,9 +58,9 @@ ASSIGNMENT_CAP = 10_000_000
 DIMENSION_CAP = 4096
 # bound on the complex entries the planar recursion holds at once (256 MB):
 # its two interval tables, of side the summed bonds of the ring's even and
-# odd boundaries, times the letter contexts in the Haar tree form, or plus
-# the open-block arrays in the block recursion; time grows as a further
-# factor of the table side
+# odd boundaries, once per letter context (Haar's letters and one more),
+# plus the open-block arrays under the one-context presets; time grows as a
+# further factor of the table side
 MOMENT_DP_CAP = 2 ** 24
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -214,16 +218,32 @@ def _matrix_of(M) -> np.ndarray:
 
 
 def schatten_pow(M, m: int) -> float:
-    """Tr((M^* M)^m), by repeated matrix multiplication of the Gram matrix
-    on the smaller side (Tr((M^* M)^m) = Tr((M M^*)^m))."""
+    """Tr((M^* M)^m); past the float range it is math.inf."""
+    return float(np.ldexp(*_power_trace(_matrix_of(M), m)))
+
+
+def _power_trace(mat: np.ndarray, m: int) -> tuple:
+    """(t, e) with Tr((M^* M)^m) = t 2^e, by repeated multiplication of the
+    Gram matrix G on the smaller side (Tr((M^* M)^m) = Tr((M M^*)^m)).
+
+    Every `every` products the power is scaled by the power of two that
+    puts its trace in [1/2, 1), which is exact, so below `every` products
+    t 2^e is the plain product.  For tr(G) = 1 the scaled power stays in
+    the float range at any m: a product with G never grows its trace and
+    shrinks it at most len(G)-fold (Chebyshev's sum inequality on the
+    eigenvalues), so even a flat spectrum does not underflow.
+    """
     if m < 1:
         raise ValueError("need m >= 1")
-    mat = _matrix_of(M)
     gram = mat @ mat.conj().T if mat.shape[0] < mat.shape[1] else mat.conj().T @ mat
-    power = gram
-    for _ in range(m - 1):
+    every = int(600 / math.log(len(gram) + 1))
+    power, exponent = gram, 0
+    for k in range(1, m):
+        if k % every == 0:
+            shift = math.frexp(power.trace().real)[1]
+            power, exponent = power * 2.0 ** -shift, exponent + shift
         power = power @ gram
-    return float(power.trace().real)
+    return float(power.trace().real), exponent
 
 
 def _norm2(values: np.ndarray) -> float:
@@ -239,13 +259,15 @@ def _norm2(values: np.ndarray) -> float:
 
 
 def schatten_norm(M, m: int) -> float:
-    """The 2m-norm: Tr((M^* M)^m)^(1/2m), taken at unit Frobenius norm so
-    that the power stays within the float range at large m."""
+    """The 2m-norm Tr((M^* M)^m)^(1/2m), taken at unit Frobenius norm and
+    from the scaled power of _power_trace, so that it stays within the
+    float range at any m."""
     mat = _matrix_of(M)
     scale = _norm2(mat)
     if not scale:
         return 0.0
-    return scale * schatten_pow(mat / scale, m) ** (1.0 / (2 * m))
+    trace, exponent = _power_trace(mat / scale, m)
+    return scale * trace ** (1.0 / (2 * m)) * 2.0 ** (exponent / (2 * m))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +425,7 @@ class _Ring:
     legs twice as wide, over the letters (k, star) = 2k + star, and each
     group fills only its own star; other legs are L wide.  The bond at
     boundary p (before position p) is alpha * L^min(o, d - o) for
-    o = p mod d, so it is alpha between groups.  The recursions keep one
+    o = p mod d, so it is alpha between groups.  The recursion keeps one
     table per parity of boundary: boundary p owns rows and columns
     at[p] .. at[p] + bond[p] of table p % 2, so the boundaries p, p + 2, ..,
     up to n are the suffix of that table from at[p].  fill then stores
@@ -424,12 +446,14 @@ class _Ring:
         self.size = (self._at(self.n + 2), self._at(self.n + 1))  # n is even
         tables = self.size[0] ** 2 + self.size[1] ** 2
         if spec.kind == "haar":
-            # the tree form keeps one pair of tables per letter context
+            # one pair of tables per letter context; its open blocks are
+            # pairs, small beside them
             self.entries = (self.width + 1) * tables
         else:
-            # a step holds up to four arrays like the open blocks H (H, its
-            # product with a table, a class of columns of that and its image),
-            # each a table wide for every letter and row of the largest bond
+            # one context; a step holds up to four arrays like the open
+            # blocks H (H, its product with a table, a class of columns of
+            # that and its image), each a table wide for every letter and row
+            # of the largest bond
             self.entries = tables + 4 * self.width * self._bond(self.d // 2) * max(self.size)
 
     def _bond(self, p: int) -> int:
@@ -478,64 +502,48 @@ class _Ring:
         return H
 
 
-def _block_dp(ring: _Ring, flip: np.ndarray, alphas: list) -> complex:
+def _interval_dp(ring: _Ring, flip: np.ndarray, alphas: list, allowed: np.ndarray,
+                 inner: np.ndarray) -> complex:
     """Sum over the even-block non-crossing partitions of the ring's positions.
 
     A block of 2j elements weighs alphas[j-1] and carries one letter l; its
     elements of even rank (counted from 0) use leg l and those of odd rank
-    leg flip[l].  F[i, e] sums the partitions of positions i..e-1, which
-    vanishes unless e - i is even.  Going back from the last position, H
-    holds the open block of i by letter and boundary after its last element,
-    every gap filled, and B the weighted closed blocks.
+    leg flip[l].  F[c][i, e] sums the partitions of positions i..e-1 in
+    letter context c, which vanishes unless e - i is even: a block of letter
+    l counts in context c with weight allowed[c, l], the gap after its first
+    element is read in context inner[l], its later gaps in context 0, and
+    the rest of the interval in c again.  The last context is the ring's.
+    Going back from the last position, H holds the open block of i by letter
+    and boundary after its last element, every gap filled, and B the closed
+    blocks weighed into each context.
     """
     n, at, bond = ring.n, ring.at, ring.bond
-    F = [np.eye(size, dtype=complex) for size in ring.size]
+    F = [np.zeros((len(allowed), size, size), dtype=complex) for size in ring.size]
+    for table in F:  # empty intervals: an identity per context, set in place
+        table.reshape(len(allowed), -1)[:, ::table.shape[1] + 1] = 1
+    # what a block opened at a position of class c reads, by its live letters
+    opening = [(live, ring.legs[c][live], flip[live], inner[live], allowed[:, live])
+               for c, live in enumerate(ring.live)]
     for i in range(n - 1, -1, -1):
-        legs, live = ring.legs[i % (2 * ring.d)], ring.live[i % (2 * ring.d)]
-        if not len(live):
-            continue
-        same = F[i % 2]
-        H = np.zeros((len(live), bond[i], ring.size[1 - i % 2] - at[i + 1]), dtype=complex)
-        H[..., :bond[i + 1]] = legs[live]
-        B = np.zeros((bond[i], ring.size[i % 2] - at[i + 2]), dtype=complex)
-        # H spans the boundaries from h = i + t: its element of rank t - 1
-        # ends at or after h - 1, so no element of rank t fits once h reaches n
-        for h in range(i + 1, min(i + 2 * len(alphas), n)):
-            t = h - i
-            H = ring.step(H @ F[h % 2][at[h]:, at[h]:], h, flip[live] if t % 2 else live)
-            if t % 2 and alphas[t // 2]:
-                B[:, at[h + 1] - at[i + 2]:] += alphas[t // 2] * H.sum(axis=0)
-        same[at[i]:at[i] + bond[i], at[i + 2]:] = B @ same[at[i + 2]:, at[i + 2]:]
-    return complex(np.trace(F[0][:bond[0], at[n]:at[n] + bond[n]]))
-
-
-def _tree_dp(ring: _Ring, flip: np.ndarray) -> complex:
-    """The Haar moment as a sum over reductions of the word to the identity.
-
-    Kesten's first-return decomposition: the letter l of the first position
-    i is cancelled at q by its inverse flip[l], the positions between reduce
-    on top of l, and the rest reduces on what lies below.  F[c][i, e] covers
-    positions i..e-1 whose first letter must not be c, the inverse of the
-    letter below them (c = letters: nothing below).  Every term has weight
-    1, so nothing cancels between partitions.
-    """
-    n, at, bond = ring.n, ring.at, ring.bond
-    letters = ring.width
-    contexts = letters + 1
-    allowed = (np.arange(contexts)[:, None] != np.arange(letters)).astype(complex)
-    F = [np.tile(np.eye(size, dtype=complex), (contexts, 1, 1)) for size in ring.size]
-    for i in range(n - 1, -1, -1):
-        legs, live = ring.legs[i % (2 * ring.d)], ring.live[i % (2 * ring.d)]
+        live, legs, flipped, first_gap, weigh = opening[i % (2 * ring.d)]
         if not len(live):
             continue
         same, j = F[i % 2], i + 1
-        # pair[l, .., q + 1] = leg l at i, F[flip l][i + 1, q], leg flip l at q
-        inner = F[j % 2][flip[live], at[j]:at[j] + bond[j], at[j]:]
-        pair = ring.step(legs[live] @ inner, j, flip[live])
-        first = (allowed[:, live] @ pair.reshape(len(live), -1)).reshape(
-            (contexts,) + pair.shape[1:])
-        same[:, at[i]:at[i] + bond[i], at[i + 2]:] = first @ same[:, at[i + 2]:, at[i + 2]:]
-    return complex(np.trace(F[0][letters, :bond[0], at[n]:at[n] + bond[n]]))
+        # the gap after i, in context inner[l], from the rows of boundary i + 1 only
+        H = legs @ F[j % 2][first_gap, at[j]:at[j] + bond[j], at[j]:]
+        B = np.zeros((len(allowed), bond[i], ring.size[i % 2] - at[i + 2]), dtype=complex)
+        # H spans the boundaries from h = i + t: its element of rank t - 1
+        # ends at or after h - 1, so no element of rank t fits once h reaches n
+        for h in range(j, min(i + 2 * len(alphas), n)):
+            t = h - i
+            if t > 1:
+                H = H @ F[h % 2][0, at[h]:, at[h]:]
+            H = ring.step(H, h, flipped if t % 2 else live)
+            if t % 2 and alphas[t // 2]:
+                closed = (alphas[t // 2] * weigh) @ H.reshape(len(live), -1)
+                B[..., at[h + 1] - at[i + 2]:] += closed.reshape((len(weigh),) + H.shape[1:])
+        same[:, at[i]:at[i] + bond[i], at[i + 2]:] = B @ same[:, at[i + 2]:, at[i + 2]:]
+    return complex(np.trace(F[0][-1, :bond[0], at[n]:at[n] + bond[n]]))
 
 
 def planar_sum(a, spec: CumulantSpec, m: int) -> complex:
@@ -544,8 +552,10 @@ def planar_sum(a, spec: CumulantSpec, m: int) -> complex:
     Plain families under R-diagonal presets and star families both take the
     doubled alphabet of letters (k, star), in which a block's elements
     alternate stars (the swap l ^ 1); a plain family under the semicircle
-    takes its own alphabet and pairs only.  The Haar preset takes the tree
-    form, the others the block recursion with alpha_{s/2} per block of s
+    takes its own alphabet and pairs only.  One call to _interval_dp sums
+    it: the Haar preset in Kesten's first-return form, pairs of weight 1
+    with a letter context per letter that may not open one and one for the
+    ring, the others in one context with alpha_{s/2} per block of s
     elements.  Raises ValueError for m < 1, when the entries _Ring counts
     exceed MOMENT_DP_CAP (before any tensor is built), and for presets
     without a determining sequence on star families.
@@ -557,18 +567,20 @@ def planar_sum(a, spec: CumulantSpec, m: int) -> complex:
         raise ValueError("moment recursion needs %d complex entries, past MOMENT_DP_CAP = %d"
                          % (ring.entries, MOMENT_DP_CAP))
     ring.fill(_group_tensors(a))
-    # a sum past the float range comes back inf or nan, for the caller to
-    # reject, without numpy warning about each overflowing product
-    with np.errstate(over="ignore", invalid="ignore"):
-        if ring.pairs_only:
-            return _block_dp(ring, np.arange(ring.width), [1])
-        flip = np.arange(ring.width) ^ 1
-        if spec.kind == "haar":
-            return _tree_dp(ring, flip)
+    letters = np.arange(ring.width)
+    flip = letters if ring.pairs_only else letters ^ 1
+    allowed, inner, alphas = np.ones((1, ring.width), dtype=complex), np.zeros_like(letters), [1]
+    if spec.kind == "haar":
+        # context c < width forbids the letter c, the inverse of the letter below
+        allowed, inner = (np.arange(ring.width + 1)[:, None] != letters).astype(complex), flip
+    elif not ring.pairs_only:
         alphas = [complex(x) for x in spec.determining(a.d * m)]
         while alphas and not alphas[-1]:
             alphas.pop()
-        return _block_dp(ring, flip, alphas)
+    # a sum past the float range comes back inf or nan, for the caller to
+    # reject, without numpy warning about each overflowing product
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _interval_dp(ring, flip, alphas, allowed, inner)
 
 
 def _real_part(total: complex, what: str) -> float:

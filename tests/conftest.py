@@ -1,4 +1,6 @@
-"""Shared brute-force oracles, kept independent of the library internals."""
+"""Shared brute-force oracles, kept independent of the library internals,
+and verbatim copies of replaced solvers, kept as references for their
+replacements."""
 
 import math
 import os
@@ -10,6 +12,9 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "VECLIB_MAXIMUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import numpy as np  # noqa: E402
+
+from ncfree.matrices import _Ring, _group_tensors  # noqa: E402
 from ncfree.partitions import Partition  # noqa: E402
 
 
@@ -123,3 +128,85 @@ def _reference_constrained_blocks(segments, acc, extend_ok, complete_ok):
     for block, gaps in grow((first,), 0, ()):
         yield from _reference_constrained_blocks(gaps + later, acc + (block,),
                                                  extend_ok, complete_ok)
+
+
+# ---------------------------------------------------------------------------
+# the two planar recursions that one interval recursion with letter contexts
+# replaced, kept verbatim (with the dispatch of planar_sum that chose between
+# them) as the reference for matrices.planar_sum
+
+
+def reference_planar_sum(a, spec, m):
+    """planar_sum by the block recursion, or for Haar by the tree form."""
+    ring = _Ring(a, spec, m)
+    ring.fill(_group_tensors(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if ring.pairs_only:
+            return _block_dp(ring, np.arange(ring.width), [1])
+        flip = np.arange(ring.width) ^ 1
+        if spec.kind == "haar":
+            return _tree_dp(ring, flip)
+        alphas = [complex(x) for x in spec.determining(a.d * m)]
+        while alphas and not alphas[-1]:
+            alphas.pop()
+        return _block_dp(ring, flip, alphas)
+
+
+def _block_dp(ring: _Ring, flip: np.ndarray, alphas: list) -> complex:
+    """Sum over the even-block non-crossing partitions of the ring's positions.
+
+    A block of 2j elements weighs alphas[j-1] and carries one letter l; its
+    elements of even rank (counted from 0) use leg l and those of odd rank
+    leg flip[l].  F[i, e] sums the partitions of positions i..e-1, which
+    vanishes unless e - i is even.  Going back from the last position, H
+    holds the open block of i by letter and boundary after its last element,
+    every gap filled, and B the weighted closed blocks.
+    """
+    n, at, bond = ring.n, ring.at, ring.bond
+    F = [np.eye(size, dtype=complex) for size in ring.size]
+    for i in range(n - 1, -1, -1):
+        legs, live = ring.legs[i % (2 * ring.d)], ring.live[i % (2 * ring.d)]
+        if not len(live):
+            continue
+        same = F[i % 2]
+        H = np.zeros((len(live), bond[i], ring.size[1 - i % 2] - at[i + 1]), dtype=complex)
+        H[..., :bond[i + 1]] = legs[live]
+        B = np.zeros((bond[i], ring.size[i % 2] - at[i + 2]), dtype=complex)
+        # H spans the boundaries from h = i + t: its element of rank t - 1
+        # ends at or after h - 1, so no element of rank t fits once h reaches n
+        for h in range(i + 1, min(i + 2 * len(alphas), n)):
+            t = h - i
+            H = ring.step(H @ F[h % 2][at[h]:, at[h]:], h, flip[live] if t % 2 else live)
+            if t % 2 and alphas[t // 2]:
+                B[:, at[h + 1] - at[i + 2]:] += alphas[t // 2] * H.sum(axis=0)
+        same[at[i]:at[i] + bond[i], at[i + 2]:] = B @ same[at[i + 2]:, at[i + 2]:]
+    return complex(np.trace(F[0][:bond[0], at[n]:at[n] + bond[n]]))
+
+
+def _tree_dp(ring: _Ring, flip: np.ndarray) -> complex:
+    """The Haar moment as a sum over reductions of the word to the identity.
+
+    Kesten's first-return decomposition: the letter l of the first position
+    i is cancelled at q by its inverse flip[l], the positions between reduce
+    on top of l, and the rest reduces on what lies below.  F[c][i, e] covers
+    positions i..e-1 whose first letter must not be c, the inverse of the
+    letter below them (c = letters: nothing below).  Every term has weight
+    1, so nothing cancels between partitions.
+    """
+    n, at, bond = ring.n, ring.at, ring.bond
+    letters = ring.width
+    contexts = letters + 1
+    allowed = (np.arange(contexts)[:, None] != np.arange(letters)).astype(complex)
+    F = [np.tile(np.eye(size, dtype=complex), (contexts, 1, 1)) for size in ring.size]
+    for i in range(n - 1, -1, -1):
+        legs, live = ring.legs[i % (2 * ring.d)], ring.live[i % (2 * ring.d)]
+        if not len(live):
+            continue
+        same, j = F[i % 2], i + 1
+        # pair[l, .., q + 1] = leg l at i, F[flip l][i + 1, q], leg flip l at q
+        inner = F[j % 2][flip[live], at[j]:at[j] + bond[j], at[j]:]
+        pair = ring.step(legs[live] @ inner, j, flip[live])
+        first = (allowed[:, live] @ pair.reshape(len(live), -1)).reshape(
+            (contexts,) + pair.shape[1:])
+        same[:, at[i]:at[i] + bond[i], at[i + 2]:] = first @ same[:, at[i + 2]:, at[i + 2]:]
+    return complex(np.trace(F[0][letters, :bond[0], at[n]:at[n] + bond[n]]))

@@ -479,3 +479,20 @@ def test_norm_over_a_zero_bound_keeps_ratio_inf(tmp_path, monkeypatch, capsys):
     code, out, err = run(capsys, "norm", "--family-file", path, "--spec", "circular", "--m", "2")
     assert code == 0, err
     assert out.strip().splitlines()[-1] == "ratio=inf"
+
+
+def test_norm_negative_moment_error_keeps_the_spec_spelling(tmp_path, capsys):
+    path = tmp_path / "fam.txt"
+    path.write_text("1 3 1\n1 1,0\n2 1,0\n3 1,0\n")
+    code, out, err = run(capsys, "norm", "--family-file", str(path), "--spec", "rdiag:1,-3",
+                         "--m", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("norm: rdiag:1,-3 (read as rdiag:1.0,-3.0) at m=2: ")
+
+
+@pytest.mark.parametrize("option", ["--r", "--alpha"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_verify_nonpositive_alphabet_or_matrix_size_exits_2(capsys, option, value):
+    code, out, err = run(capsys, "verify", "--suite", "main-inequality", option, value)
+    assert code == 2 and out == ""
+    assert err.startswith("verify: ") and option in err and "Traceback" not in err

@@ -475,3 +475,11 @@ def test_c_norm_2m_of_a_negative_moment_raises_naming_spec_and_m(name, m):
     assert "rdiag:1.0," in str(info.value) and "m=%d" % m in str(info.value)
     with pytest.raises(ArithmeticError, match=r"rdiag:1,-3 at m=2"):
         c_norm_2m(CumulantSpec.r_diagonal([1, -3]), 2)
+
+
+def test_spec_keeps_the_spelling_it_was_parsed_from():
+    assert repr(CumulantSpec.from_name("rdiag:1,-3")) == "CumulantSpec('rdiag:1,-3')"
+    assert CumulantSpec.from_name("rdiag:0.5,1e-1").name == "rdiag:0.5,1e-1"
+    assert CumulantSpec.r_diagonal([1, -3]).name == "rdiag:1,-3"
+    for name in ("circular", "haar", "semicircle"):
+        assert CumulantSpec.from_name(name).name == name

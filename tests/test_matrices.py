@@ -698,3 +698,24 @@ def test_holomorphic_moments_reject_a_star_family(monkeypatch, cap):
         for call in (holo_moment, holo_norm_2m):
             with pytest.raises(ValueError, match="star family"):
                 call(star, spec, 2)
+
+
+def test_schatten_norm_of_a_flat_spectrum_at_large_m():
+    # at unit Frobenius norm each of the four singular values is 1/2, so the
+    # unscaled power Tr((M^* M)^600) = 4^-599 underflows to 0
+    assert math.isclose(schatten_norm(np.eye(4), 600), 4 ** (1 / 1200), rel_tol=1e-12)
+    assert math.isclose(schatten_norm(1e200 * np.eye(4), 600), 1e200 * 4 ** (1 / 1200),
+                        rel_tol=1e-12)
+
+
+def test_rhs_bounds_of_an_identity_family_at_large_m_are_finite():
+    # the one-record family 1 1 4 holding the 4 x 4 identity: M_0 and M_1
+    # are both the identity
+    from ncfree.cumulants import CumulantSpec
+
+    a = CoefficientFamily(1, 1, 4, {(1,): np.eye(4)})
+    for value in ml_norms(a, 600):
+        assert math.isclose(value, 4 ** (1 / 1200), rel_tol=1e-12)
+    semi = CumulantSpec.semicircular()
+    for bound in (holo_rhs_bound(a, semi, 600), nonholo_rhs_bound(a, semi, 600)):
+        assert math.isfinite(bound) and bound > 0

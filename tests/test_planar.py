@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import reference_planar_sum
 from ncfree import matrices
 from ncfree.cumulants import (
     CumulantSpec,
@@ -146,6 +147,39 @@ def test_tree_form_against_free_group_at_d1_m32():
         expected = free_group_moment(a, 32)
         assert abs(total.imag) <= 1e-12 * expected
         assert math.isclose(total.real, expected, rel_tol=1e-12)
+
+
+REFERENCE_SPECS = dict(SPECS, semicircle=SEMI,
+                       **{name: CumulantSpec.from_name(name) for name in ("rdiag:0,1", "rdiag:0")})
+
+
+@pytest.mark.parametrize("d,m", [(d, m) for d in (1, 2, 3) for m in (1, 2, 3, 4)])
+def test_interval_recursion_matches_the_two_it_replaced(d, m):
+    # the block recursion and the Haar tree form, kept in conftest
+    rng = np.random.default_rng(1000 * d + m)
+    for alpha in (1, 2):
+        for fam in (random_family(d, 2, alpha, rng), random_star_family(d, 2, alpha, rng)):
+            for name, spec in REFERENCE_SPECS.items():
+                if name == "semicircle" and isinstance(fam, matrices.StarCoefficientFamily):
+                    continue  # no determining sequence
+                expected = reference_planar_sum(fam, spec, m)
+                assert _close(planar_sum(fam, spec, m), expected), (name, alpha, type(fam))
+
+
+def test_interval_recursion_matches_the_tree_form_at_d1_m32():
+    rng = np.random.default_rng(1100)
+    for alpha in (1, 2):
+        for fam in (random_family(1, 2, alpha, rng), random_star_family(1, 2, alpha, rng)):
+            expected = reference_planar_sum(fam, SPECS["haar"], 32)
+            assert _close(planar_sum(fam, SPECS["haar"], 32), expected), alpha
+
+
+def test_all_zero_determining_sequence_gives_zero():
+    # every alpha is trimmed, so no block can be weighed
+    rng = np.random.default_rng(1101)
+    spec = CumulantSpec.from_name("rdiag:0")
+    for fam in (random_family(2, 2, 2, rng), random_star_family(2, 2, 2, rng)):
+        assert planar_sum(fam, spec, 3) == 0
 
 
 def test_enumerated_hooks_keep_the_star_family_sum():
