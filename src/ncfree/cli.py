@@ -443,6 +443,9 @@ def cmd_verify(args) -> int:
         if getattr(args, option) < 1:
             print("verify: --%s must be a positive integer" % option, file=sys.stderr)
             return 2
+    if args.seed < 0:
+        print("verify: --seed must be a non-negative integer", file=sys.stderr)
+        return 2
     # opened before the suite runs, so an unwritable path costs no work
     try:
         out = open(args.out, "w", newline="") if args.out else sys.stdout

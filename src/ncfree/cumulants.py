@@ -17,7 +17,8 @@ recursion m_n = sum_s kappa_s [z^(n-s)] M(z)^s.  Odd words give 0 and Haar's
 even ones 1 (u u* = 1); determining_sequence_from_moments inverts these
 through the recursion, checking alpha_n = (-1)^(n-1) C_(n-1).  Words
 with mixed indices, R-diagonal words whose stars do not alternate and the
-star_table hook are summed over NC(n), the only capped step (the constant
+star_table hook are summed over the members of NC(n) whose blocks all carry
+a nonzero cumulant (_kappa_support), the only capped step (the constant
 partitions.NC_ENUMERATION_CAP).
 """
 
@@ -25,9 +26,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Iterator, Sequence, Tuple
 
-from .partitions import Partition, enumerate_nc
+from .partitions import NC_ENUMERATION_CAP, Partition, enumerate_nc_constrained
 
 Letter = Tuple[int, bool]
 
@@ -94,6 +95,13 @@ class CumulantSpec:
 
     @classmethod
     def star_table(cls, table: Callable) -> "CumulantSpec":
+        """A spec whose block value is table(pattern), the star pattern of a
+        one-index block in element order.
+
+        The table must be a pure function of the pattern: enumerated moments
+        call it once for every candidate block of each segment, mixed-index
+        blocks aside, and keep each segment's choices for reuse.
+        """
         return cls("star_table", table=table)
 
     @classmethod
@@ -167,6 +175,32 @@ def kappa_pi(spec: CumulantSpec, p: Partition, word: Sequence[Letter]):
     return value
 
 
+def _kappa_support(spec: CumulantSpec, word: Sequence[Letter]) -> Iterator[Partition]:
+    """The members of NC(len(word)) on which kappa_pi can be nonzero, each
+    once and in enumerate_nc's order.
+
+    A block grows only by letters of its first letter's index and is kept
+    only where spec.block_value of its star pattern is nonzero; every other
+    member has a zero factor, so kappa_pi would weigh it 0.  A member whose
+    nonzero block values multiply to a float 0 (underflow) is still yielded,
+    and kappa_pi weighs it 0.  Raises ValueError, when called, for a length
+    outside 1..NC_ENUMERATION_CAP.
+    """
+    n = len(word)
+    if not 1 <= n <= NC_ENUMERATION_CAP:
+        raise ValueError("ground size %d outside 1..%d" % (n, NC_ENUMERATION_CAP))
+    index = [None] + [idx for idx, _ in word]
+    star = [None] + [st for _, st in word]
+
+    def extend_ok(block: tuple, cand: int) -> bool:
+        return index[cand] == index[block[0]]
+
+    def complete_ok(block: tuple) -> bool:
+        return spec.block_value(tuple(star[i] for i in block)) != 0
+
+    return enumerate_nc_constrained(n, extend_ok, complete_ok)
+
+
 def rdiag_block_weight(spec: CumulantSpec, p: Partition):
     """Product of alternating cumulants alpha_{|V|/2} over the blocks of p.
 
@@ -191,7 +225,8 @@ def moment_from_cumulants(spec: CumulantSpec, word: Sequence[Letter]):
     One-index words of the semicircle, and alternating one-index words of
     the R-diagonal presets, are summed by closed recursion with no size
     limit.  Every other word (mixed indices, non-alternating stars, the
-    star_table hook) enumerates NC(n), which raises ValueError past
+    star_table hook) is summed over the members of NC(n) that _kappa_support
+    yields, the rest weighing 0, which raises ValueError past
     NC_ENUMERATION_CAP.
     """
     word = tuple(word)
@@ -199,7 +234,7 @@ def moment_from_cumulants(spec: CumulantSpec, word: Sequence[Letter]):
     if value is not None:
         return value
     total = 0
-    for p in enumerate_nc(len(word)):
+    for p in _kappa_support(spec, word):
         total += kappa_pi(spec, p, word)
     return total
 
@@ -228,9 +263,12 @@ def _free_moments(kappas: Sequence, n: int) -> list:
     pass is triangular.  Powers past the last nonzero cumulant kappa_top are
     never weighed, so they are not built: the pass is O(n^2 top).  Zero
     factors are skipped: a sum without a nonzero term stays the int 0, as
-    the NC sum it replaces does.
+    the NC sum it replaces does.  When every odd cumulant is 0 the variable
+    is even, so are M(z) and its powers, and their odd coefficients are the
+    int 0 without a sum: only even terms are visited.
     """
     top = max((s for s, kappa in enumerate(kappas[:n], start=1) if kappa), default=0)
+    step = 1 if any(kappas[:n:2]) else 2
     moments = [1]
     powers = [[1] + [0] * n]
     for k in range(1, n + 1):
@@ -239,8 +277,9 @@ def _free_moments(kappas: Sequence, n: int) -> list:
         for s in range(1, min(k, top) + 1):
             j = k - s
             lower = powers[s - 1]
-            coeff = sum(moments[i] * lower[j - i] for i in range(j + 1)
-                        if moments[i] and lower[j - i])
+            coeff = 0 if j % step else sum(
+                moments[i] * lower[j - i] for i in range(0, j + 1, step)
+                if moments[i] and lower[j - i])
             powers[s].append(coeff)
             if coeff and s <= len(kappas) and kappas[s - 1]:
                 total += kappas[s - 1] * coeff

@@ -4,7 +4,9 @@ Three oracles, each avoiding the cumulant machinery: a truncated full Fock
 space carrying exact circular or semicircular families (truncation at depth
 d*m is lossless for vacuum moments of 2m factors), exact convolution in the
 group algebra of a free group for the unitary case, and a brute-force moment
-sum over all non-crossing partitions of the word positions.  The Fock
+sum over the non-crossing partitions of the word positions whose blocks all
+carry a nonzero cumulant (every other member weighs 0; the tests check this
+support against kappa_pi over all of NC(n)).  The Fock
 realization also gives the operator-norm lower bound: its norm is computed
 exactly, as the largest dense norm over the small blocks into which the
 operator splits.
@@ -17,8 +19,7 @@ from typing import Dict
 
 import numpy as np
 
-from .partitions import enumerate_nc
-from .cumulants import CumulantSpec, holo_word, kappa_pi, plain_word
+from .cumulants import CumulantSpec, _kappa_support, holo_word, kappa_pi, plain_word
 from . import matrices
 from .matrices import (
     CoefficientFamily,
@@ -320,10 +321,13 @@ def free_group_moment(a: CoefficientFamily, m: int) -> float:
 
 
 def brute_moment(spec: CumulantSpec, a: CoefficientFamily, m: int) -> float:
-    """Cumulant sum over ALL non-crossing partitions of the 2dm positions.
+    """Cumulant sum over the non-crossing partitions of the 2dm positions.
 
     Validates that the structured sums lose nothing: the weight vanishes
-    off the structured families, the trace sum handles the rest.
+    off the structured families, the trace sum handles the rest.  Only the
+    members that cumulants._kappa_support yields are weighed and contracted;
+    every other member of NC(2dm) has a block of zero cumulant, so the sum
+    is the one over all of NC(2dm).
     """
     n = 2 * a.d * m
     if n > BRUTE_GROUND_CAP:
@@ -333,6 +337,6 @@ def brute_moment(spec: CumulantSpec, a: CoefficientFamily, m: int) -> float:
         word = plain_word(n)
     else:
         word = holo_word(a.d, m)
-    total = _weighted_sum(enumerate_nc(n), lambda p: kappa_pi(spec, p, word),
+    total = _weighted_sum(_kappa_support(spec, word), lambda p: kappa_pi(spec, p, word),
                           lambda p: trace_sum_complex(a, p))
     return total.real

@@ -14,8 +14,16 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import numpy as np  # noqa: E402
 
-from ncfree.matrices import _Ring, _group_tensors  # noqa: E402
-from ncfree.partitions import Partition  # noqa: E402
+from ncfree.cumulants import holo_word, kappa_pi, plain_word  # noqa: E402
+from ncfree.matrices import (  # noqa: E402
+    _check_adjacent_support,
+    _group_tensors,
+    _Ring,
+    _weighted_sum,
+    trace_sum_complex,
+)
+from ncfree.oracles import BRUTE_GROUND_CAP  # noqa: E402
+from ncfree.partitions import Partition, enumerate_nc  # noqa: E402
 
 
 def all_set_partitions(n):
@@ -210,3 +218,27 @@ def _tree_dp(ring: _Ring, flip: np.ndarray) -> complex:
             (contexts,) + pair.shape[1:])
         same[:, at[i]:at[i] + bond[i], at[i + 2]:] = first @ same[:, at[i + 2]:, at[i + 2]:]
     return complex(np.trace(F[0][letters, :bond[0], at[n]:at[n] + bond[n]]))
+
+
+# ---------------------------------------------------------------------------
+# brute_moment as it was before it summed over the support of kappa_pi only,
+# kept verbatim as the reference for oracles.brute_moment
+
+
+def reference_brute_moment(spec, a, m: int) -> float:
+    """Cumulant sum over ALL non-crossing partitions of the 2dm positions.
+
+    Validates that the structured sums lose nothing: the weight vanishes
+    off the structured families, the trace sum handles the rest.
+    """
+    n = 2 * a.d * m
+    if n > BRUTE_GROUND_CAP:
+        raise ValueError("ground size %d exceeds brute cap %d" % (n, BRUTE_GROUND_CAP))
+    if spec.kind == "semicircle":
+        _check_adjacent_support(a)
+        word = plain_word(n)
+    else:
+        word = holo_word(a.d, m)
+    total = _weighted_sum(enumerate_nc(n), lambda p: kappa_pi(spec, p, word),
+                          lambda p: trace_sum_complex(a, p))
+    return total.real

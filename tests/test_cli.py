@@ -496,3 +496,13 @@ def test_verify_nonpositive_alphabet_or_matrix_size_exits_2(capsys, option, valu
     code, out, err = run(capsys, "verify", "--suite", "main-inequality", option, value)
     assert code == 2 and out == ""
     assert err.startswith("verify: ") and option in err and "Traceback" not in err
+
+
+def test_verify_negative_seed_exits_2_before_the_suite_runs(monkeypatch, capsys):
+    from ncfree import cli
+
+    calls = []
+    monkeypatch.setitem(cli.SUITES, "main-inequality", lambda args: calls.append(args))
+    code, out, err = run(capsys, "verify", "--suite", "main-inequality", "--seed", "-1")
+    assert code == 2 and out == "" and calls == []
+    assert err == "verify: --seed must be a non-negative integer\n"

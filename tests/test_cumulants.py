@@ -6,7 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ncfree.partitions import discrete, enumerate_nc, full, parse_partition
+from ncfree.partitions import (
+    NC_ENUMERATION_CAP,
+    discrete,
+    enumerate_nc,
+    full,
+    parse_partition,
+)
 from ncfree.symmetry import GridShape
 from ncfree.families import (
     catalan,
@@ -33,6 +39,7 @@ from ncfree.cumulants import (
     plain_word,
     rdiag_block_weight,
     _free_moments,
+    _kappa_support,
     _rdiag_moment,
 )
 
@@ -287,6 +294,43 @@ def test_recursion_matches_nc_sum():
         cases += [(semi, plain_word(n)), (semi, from_c)]
         for spec, word in cases:
             _same(moment_from_cumulants(spec, word), _nc_sum(spec, word, members))
+
+
+def _support_words(n):
+    from_c = alternating_word(n)
+    words = [plain_word(n), from_c, tuple((idx, not star) for idx, star in from_c),
+             tuple((1 + (i // 2) % 2, i % 3 == 0) for i in range(n))]
+    words += [holo_word(d, n // (2 * d)) for d in range(1, n + 1) if n % (2 * d) == 0]
+    return words
+
+
+def test_kappa_support_is_the_nonzero_part_of_nc_in_order():
+    # the oracle of kappa_pi's zeros that the support sums rely on: list
+    # equality, so each member once and in enumerate_nc's order
+    def table(pattern):
+        return {1: 0, 2: 1, 3: 0.5}.get(len(pattern), 0) if pattern[0] else len(pattern) % 3
+
+    specs = [CumulantSpec.circular(), CumulantSpec.haar_unitary(),
+             CumulantSpec.semicircular(), CumulantSpec.r_diagonal([2, -1, 3]),
+             CumulantSpec.r_diagonal([Fraction(1, 2), 0, Fraction(-3, 4)]),
+             CumulantSpec.from_name("rdiag:0,1"), CumulantSpec.from_name("rdiag:0"),
+             CumulantSpec.star_table(table)]
+    for n in range(1, 11):
+        members = list(enumerate_nc(n))
+        for word in _support_words(n):
+            for spec in specs:
+                expected = [p for p in members if kappa_pi(spec, p, word) != 0]
+                assert list(_kappa_support(spec, word)) == expected, (spec, word)
+
+
+def test_kappa_support_checks_the_cap_when_called():
+    circ = CumulantSpec.circular()
+    for n in (0, NC_ENUMERATION_CAP + 1):
+        with pytest.raises(ValueError):
+            _kappa_support(circ, alternating_word(n))
+    table = CumulantSpec.star_table(lambda pattern: 1)
+    with pytest.raises(ValueError):
+        moment_from_cumulants(table, alternating_word(16))
 
 
 def test_nc_sum_kept_for_mixed_and_non_alternating_words():

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import reference_brute_moment
 from ncfree import matrices, oracles
 from ncfree.cumulants import CumulantSpec
 from ncfree.matrices import (
@@ -264,3 +265,30 @@ def test_brute_cap():
     a = random_family(2, 2, 1, rng)
     with pytest.raises(ValueError):
         brute_moment(CumulantSpec.circular(), a, 4)
+
+
+def _same_as_full_nc_sum(spec, a, m):
+    value = brute_moment(spec, a, m)
+    reference = reference_brute_moment(spec, a, m)
+    assert type(value) is type(reference) and value == reference, (spec, a.d, m)
+
+
+@pytest.mark.parametrize("d,m", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)])
+def test_brute_over_the_support_equals_the_full_nc_sum_holomorphic(d, m):
+    # the families of test_brute_agrees_holomorphic, compared exactly
+    rng = np.random.default_rng(6)
+    for spec in (CumulantSpec.circular(), CumulantSpec.haar_unitary()):
+        _same_as_full_nc_sum(spec, random_family(d, 2, 2, rng), m)
+
+
+@pytest.mark.parametrize("d,m", [(1, 2), (2, 1), (1, 3), (3, 1), (2, 2)])
+def test_brute_over_the_support_equals_the_full_nc_sum_semicircular(d, m):
+    # the families of test_brute_agrees_semicircular, compared exactly
+    a = random_adjacent_distinct_family(d, 3, 2, np.random.default_rng(7))
+    _same_as_full_nc_sum(CumulantSpec.semicircular(), a, m)
+
+
+def test_brute_over_the_support_equals_the_full_nc_sum_at_the_cap():
+    # 2dm = 12 = BRUTE_GROUND_CAP, where the full sum weighs 208012 members
+    a = random_family(2, 2, 2, np.random.default_rng(9))
+    _same_as_full_nc_sum(CumulantSpec.haar_unitary(), a, 3)
