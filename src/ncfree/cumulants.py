@@ -100,7 +100,10 @@ class CumulantSpec:
 
         The table must be a pure function of the pattern: enumerated moments
         call it once for every candidate block of each segment, mixed-index
-        blocks aside, and keep each segment's choices for reuse.
+        blocks aside, and keep each segment's choices for reuse.  The planar
+        recursion of matrices.planar_sum calls it once per even block size
+        and first star bit, on the pattern that alternates from that bit (on
+        the unstarred pattern alone in a plain family's plain word).
         """
         return cls("star_table", table=table)
 

@@ -18,15 +18,16 @@ partition, and `planar_sum` evaluates it without enumerating any: each
 group tensor is split into d site tensors, and one interval recursion over
 the 2dm positions (the block of the first position closes at some q, the
 gaps and the rest are smaller intervals) sums the planar contraction in
-polynomial time.  Its tables carry a letter context.  The circular,
-semicircular and rdiag: presets need one.  Haar takes Kesten's first-return
-form, pairs of weight 1 with no signed cumulant: its context names the
-letter that may not open a block, the inverse of the letter below, or
-nothing below.  The star_table hook, and the few large-d cells past
-MOMENT_DP_CAP but within the old enumeration caps, still sum
-`_weighted_sum` over an enumerated family.  Moments are summed for the
-family scaled to unit norm and scaled back.  Operator norms are exact
-dense SVD norms.
+polynomial time.  A block of 2s elements weighs the cumulant of its star
+pattern, read from one table by size and first letter.  Its tables carry
+a letter context.  The circular, semicircular, rdiag: and star_table
+presets need one.  Haar takes Kesten's first-return form, pairs of weight
+1 with no signed cumulant: its context names the letter that may not open
+a block, the inverse of the letter below, or nothing below.  Only the few
+large-d cells past MOMENT_DP_CAP but within the old enumeration caps
+still sum `_weighted_sum` over an enumerated family.  Moments are summed
+for the family scaled to unit norm and scaled back.  Operator norms are
+exact dense SVD norms.
 """
 
 from __future__ import annotations
@@ -423,7 +424,9 @@ class _Ring:
     leg width, the bonds, the two table sides and the complex entries the
     recursion holds at once.  A plain family under an R-diagonal preset has
     legs twice as wide, over the letters (k, star) = 2k + star, and each
-    group fills only its own star; other legs are L wide.  The bond at
+    group fills only its own star.  Under the self-adjoint presets, the
+    semicircle and star_table, a plain family is read in the plain word:
+    every element unstarred, legs L wide, as a star family's are.  The bond at
     boundary p (before position p) is alpha * L^min(o, d - o) for
     o = p mod d, so it is alpha between groups.  The recursion keeps one
     table per parity of boundary: boundary p owns rows and columns
@@ -435,8 +438,9 @@ class _Ring:
     def __init__(self, a, spec: CumulantSpec, m: int):
         star = isinstance(a, StarCoefficientFamily)
         self.d, self.n, self.alpha, self.letters = a.d, 2 * a.d * m, a.alpha, a.letters
-        self.pairs_only = spec.kind == "semicircle" and not star
-        self.width = self.letters if star or self.pairs_only else 2 * self.letters
+        self.plain_word = not star and spec.kind in ("semicircle", "star_table")
+        self.pairs_only = self.plain_word and spec.kind == "semicircle"
+        self.width = self.letters if star or self.plain_word else 2 * self.letters
         # _prefix[c] (c < 2d + 2): the summed bonds of the boundaries c - 2,
         # c - 4, .. >= 0; the bonds repeat with period 2d, which keeps the
         # parity, so _at needs no more
@@ -502,13 +506,13 @@ class _Ring:
         return H
 
 
-def _interval_dp(ring: _Ring, flip: np.ndarray, alphas: list, allowed: np.ndarray,
+def _interval_dp(ring: _Ring, flip: np.ndarray, alphas: np.ndarray, allowed: np.ndarray,
                  inner: np.ndarray) -> complex:
     """Sum over the even-block non-crossing partitions of the ring's positions.
 
-    A block of 2j elements weighs alphas[j-1] and carries one letter l; its
-    elements of even rank (counted from 0) use leg l and those of odd rank
-    leg flip[l].  F[c][i, e] sums the partitions of positions i..e-1 in
+    A block of 2s elements carries one letter l and weighs alphas[s-1, l];
+    its elements of even rank (counted from 0) use leg l and those of odd
+    rank leg flip[l].  F[c][i, e] sums the partitions of positions i..e-1 in
     letter context c, which vanishes unless e - i is even: a block of letter
     l counts in context c with weight allowed[c, l], the gap after its first
     element is read in context inner[l], its later gaps in context 0, and
@@ -521,11 +525,17 @@ def _interval_dp(ring: _Ring, flip: np.ndarray, alphas: list, allowed: np.ndarra
     F = [np.zeros((len(allowed), size, size), dtype=complex) for size in ring.size]
     for table in F:  # empty intervals: an identity per context, set in place
         table.reshape(len(allowed), -1)[:, ::table.shape[1] + 1] = 1
-    # what a block opened at a position of class c reads, by its live letters
-    opening = [(live, ring.legs[c][live], flip[live], inner[live], allowed[:, live])
+    # the steps t = 2s - 1 that close a block of a size s of nonzero weight;
+    # what a block opened at a position of class c reads, by its live
+    # letters, and its weights into the contexts at each of those steps
+    rows = np.flatnonzero(alphas.any(axis=1))
+    steps, weights = [2 * row + 1 for row in rows.tolist()], alphas[rows, None] * allowed
+    last = max(steps, default=0)
+    opening = [(live, ring.legs[c][live], flip[live], inner[live],
+                dict(zip(steps, weights[..., live])))
                for c, live in enumerate(ring.live)]
     for i in range(n - 1, -1, -1):
-        live, legs, flipped, first_gap, weigh = opening[i % (2 * ring.d)]
+        live, legs, flipped, first_gap, closing = opening[i % (2 * ring.d)]
         if not len(live):
             continue
         same, j = F[i % 2], i + 1
@@ -534,16 +544,38 @@ def _interval_dp(ring: _Ring, flip: np.ndarray, alphas: list, allowed: np.ndarra
         B = np.zeros((len(allowed), bond[i], ring.size[i % 2] - at[i + 2]), dtype=complex)
         # H spans the boundaries from h = i + t: its element of rank t - 1
         # ends at or after h - 1, so no element of rank t fits once h reaches n
-        for h in range(j, min(i + 2 * len(alphas), n)):
+        for h in range(j, min(i + last + 1, n)):
             t = h - i
             if t > 1:
                 H = H @ F[h % 2][0, at[h]:, at[h]:]
             H = ring.step(H, h, flipped if t % 2 else live)
-            if t % 2 and alphas[t // 2]:
-                closed = (alphas[t // 2] * weigh) @ H.reshape(len(live), -1)
-                B[..., at[h + 1] - at[i + 2]:] += closed.reshape((len(weigh),) + H.shape[1:])
+            if t in closing:
+                closed = closing[t] @ H.reshape(len(live), -1)
+                B[..., at[h + 1] - at[i + 2]:] += closed.reshape((len(allowed),) + H.shape[1:])
         same[:, at[i]:at[i] + bond[i], at[i + 2]:] = B @ same[:, at[i + 2]:, at[i + 2]:]
     return complex(np.trace(F[0][-1, :bond[0], at[n]:at[n] + bond[n]]))
+
+
+def _block_weights(ring: _Ring, spec: CumulantSpec) -> np.ndarray:
+    """alphas[s-1, l]: the weight of a block of 2s elements whose first
+    letter is l, for every size s up to dm (Haar: pairs only).
+
+    Haar's first-return form weighs pairs 1.  A preset with a determining
+    sequence weighs alpha_s whatever the stars.  The semicircle and
+    star_table weigh spec.block_value of the block's star pattern: every
+    element unstarred in the plain word, else alternating from the star bit
+    l & 1 of the first letter.
+    """
+    if spec.kind == "haar":
+        values = [[1]]
+    elif spec.kind in ("semicircle", "star_table"):
+        starts = [(False, False)] if ring.plain_word else [(False, True), (True, False)]
+        values = [[spec.block_value(start * s) for start in starts]
+                  for s in range(1, ring.n // 2 + 1)]
+    else:
+        values = [[alpha] for alpha in spec.determining(ring.n // 2)]
+    table = np.array(values, dtype=complex)
+    return table[:, np.arange(ring.width) % table.shape[1]]
 
 
 def planar_sum(a, spec: CumulantSpec, m: int) -> complex:
@@ -552,13 +584,12 @@ def planar_sum(a, spec: CumulantSpec, m: int) -> complex:
     Plain families under R-diagonal presets and star families both take the
     doubled alphabet of letters (k, star), in which a block's elements
     alternate stars (the swap l ^ 1); a plain family under the semicircle
-    takes its own alphabet and pairs only.  One call to _interval_dp sums
-    it: the Haar preset in Kesten's first-return form, pairs of weight 1
-    with a letter context per letter that may not open one and one for the
-    ring, the others in one context with alpha_{s/2} per block of s
-    elements.  Raises ValueError for m < 1, when the entries _Ring counts
-    exceed MOMENT_DP_CAP (before any tensor is built), and for presets
-    without a determining sequence on star families.
+    or star_table takes its own alphabet in the plain word.  One call to
+    _interval_dp sums it: the Haar preset in Kesten's first-return form,
+    pairs of weight 1 with a letter context per letter that may not open
+    one and one for the ring, the others in one context with the weights of
+    _block_weights.  Raises ValueError for m < 1 and when the entries _Ring
+    counts exceed MOMENT_DP_CAP (before any tensor is built).
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -568,19 +599,15 @@ def planar_sum(a, spec: CumulantSpec, m: int) -> complex:
                          % (ring.entries, MOMENT_DP_CAP))
     ring.fill(_group_tensors(a))
     letters = np.arange(ring.width)
-    flip = letters if ring.pairs_only else letters ^ 1
-    allowed, inner, alphas = np.ones((1, ring.width), dtype=complex), np.zeros_like(letters), [1]
+    flip = letters if ring.plain_word else letters ^ 1
+    allowed, inner = np.ones((1, ring.width), dtype=complex), np.zeros_like(letters)
     if spec.kind == "haar":
         # context c < width forbids the letter c, the inverse of the letter below
         allowed, inner = (np.arange(ring.width + 1)[:, None] != letters).astype(complex), flip
-    elif not ring.pairs_only:
-        alphas = [complex(x) for x in spec.determining(a.d * m)]
-        while alphas and not alphas[-1]:
-            alphas.pop()
     # a sum past the float range comes back inf or nan, for the caller to
     # reject, without numpy warning about each overflowing product
     with np.errstate(over="ignore", invalid="ignore"):
-        return _interval_dp(ring, flip, alphas, allowed, inner)
+        return _interval_dp(ring, flip, _block_weights(ring, spec), allowed, inner)
 
 
 def _real_part(total: complex, what: str) -> float:
@@ -642,13 +669,19 @@ def _enumerate_instead(a, spec: CumulantSpec, m: int, enumeration_cap: int) -> b
 
 
 def _holo_sum(a: CoefficientFamily, spec: CumulantSpec, m: int) -> complex:
+    summed = a
     if spec.kind == "semicircle":
         # every star-family block alternates stars, so the semicircle's
         # pairs weigh exactly what the circular cumulants do
         spec = CumulantSpec.circular()
-    if spec.kind != "star_table" and not _enumerate_instead(
-            a, spec, m, families.STAR_ENUMERATION_CAP):
-        return planar_sum(a, spec, m)
+    elif spec.kind == "star_table":
+        # planar_sum reads a plain family under star_table in the plain
+        # word; the alternating word of the unstarred star family is the
+        # holomorphic word
+        summed = StarCoefficientFamily(a.d, a.r, a.alpha, {
+            (key, (False,) * a.d): mat for key, mat in a.entries.items()})
+    if not _enumerate_instead(summed, spec, m, families.STAR_ENUMERATION_CAP):
+        return planar_sum(summed, spec, m)
     word = holo_word(a.d, m)
     return _weighted_sum(enumerate_ncstar(GridShape(a.d, m)),
                          lambda p: kappa_pi(spec, p, word),
@@ -669,10 +702,12 @@ def holo_moment(a: CoefficientFamily, spec: CumulantSpec, m: int) -> float:
     The R-diagonal presets take planar_sum: their cumulants vanish on every
     non-crossing partition outside the star family.  On that family the
     semicircle weighs every block as the circular preset does, so it takes
-    planar_sum too.  The star_table hook, and a moment past MOMENT_DP_CAP
-    but within the star-family cap, keep the enumerated sum.  The sum runs
-    at unit norm; past the float range the power is math.inf.  Raises
-    ValueError for m < 1 and for a star family.
+    planar_sum too.  So does the star_table hook, on the family lifted to
+    a star family with every star unstarred, whose 2r letters make the
+    bonds wider.  A moment past MOMENT_DP_CAP but within the star-family
+    cap keeps the enumerated sum.  The sum runs at unit norm; past the
+    float range the power is math.inf.  Raises ValueError for m < 1 and for
+    a star family.
     """
     return _rescaled(*_holo_unit_moment(a, spec, m), m)
 
@@ -717,12 +752,10 @@ def _check_adjacent_support(a: CoefficientFamily) -> None:
 
 
 def _nonholo_sum(a, spec: CumulantSpec, m: int) -> complex:
-    star = isinstance(a, StarCoefficientFamily)
-    if (star or spec.kind == "semicircle") and not _enumerate_instead(
-            a, spec, m, families.INTERVAL_ENUMERATION_CAP):
+    if not _enumerate_instead(a, spec, m, families.INTERVAL_ENUMERATION_CAP):
         return planar_sum(a, spec, m)
     members = enumerate_ncdm(GridShape(a.d, m))
-    if star:
+    if isinstance(a, StarCoefficientFamily):
         return _weighted_sum(members, lambda p: rdiag_block_weight(spec, p),
                              lambda p: trace_sum_star_complex(a, p))
     word = plain_word(2 * a.d * m)
@@ -733,7 +766,9 @@ def _nonholo_sum(a, spec: CumulantSpec, m: int) -> complex:
 def _nonholo_unit_moment(a, spec: CumulantSpec, m: int) -> tuple:
     if m < 1:
         raise ValueError("need m >= 1")
-    if not isinstance(a, StarCoefficientFamily):
+    if isinstance(a, StarCoefficientFamily):
+        spec.determining(0)  # a star family's blocks weigh alpha_s: raises without them
+    else:
         if spec.kind not in ("semicircle", "star_table"):
             raise ValueError("plain families pair with self-adjoint presets")
         _check_adjacent_support(a)
@@ -747,10 +782,10 @@ def nonholo_moment(a, spec: CumulantSpec, m: int) -> float:
     equal neighbours; R-diagonal presets pair with a star family supported
     on reduced words.  On these supports every non-crossing partition that
     links an interval to itself contributes 0, so planar_sum gives the
-    family's sum.  The star_table hook on plain families, and a moment past
-    MOMENT_DP_CAP but within the interval-family cap, enumerate it.  The
-    sum runs at unit norm; past the float range the power is math.inf.
-    Raises ValueError for m < 1.
+    family's sum.  A moment past MOMENT_DP_CAP but within the
+    interval-family cap enumerates it.  The sum runs at unit norm; past the
+    float range the power is math.inf.  Raises ValueError for m < 1 and for
+    a star family under a preset without a determining sequence.
     """
     return _rescaled(*_nonholo_unit_moment(a, spec, m), m)
 

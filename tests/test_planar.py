@@ -182,17 +182,58 @@ def test_all_zero_determining_sequence_gives_zero():
         assert planar_sum(fam, spec, 3) == 0
 
 
+# 1.5 times larger on a block that opens starred, up to blocks of 6 elements:
+# a recursion that ignored the first star bit would miss it
+STARRED_TABLE = CumulantSpec.star_table(
+    lambda pattern: (1.5 if pattern[0] else 1) * {2: 1, 4: 0.5, 6: 0.25}.get(len(pattern), 0))
+
+
 def test_enumerated_hooks_keep_the_star_family_sum():
     # holo_moment sums the star family under every preset: the semicircle
     # through the circular recursion (on that family its pairs weigh the
-    # same), star_table by enumeration
+    # same), star_table through the family lifted to an unstarred star family
     rng = np.random.default_rng(600)
     table = CumulantSpec.star_table(lambda pattern: 1 if len(pattern) == 2 else 0.5)
     for d, m in [(1, 2), (1, 3), (2, 2), (3, 2)]:
         a = random_family(d, 2, 2, rng)
-        for spec in (SEMI, table):
+        for spec in (SEMI, table, STARRED_TABLE):
             expected = _star_family_sum(a, spec, m).real
             assert math.isclose(holo_moment(a, spec, m), expected, rel_tol=1e-12)
+
+
+# kappa_2s = 1 + 2^(1-s), the free cumulants of a free compound Poisson
+# element with symmetric jumps, +-1 at rate 1 and +-2^(-1/2) at rate 2, so
+# the moments are those of an operator and none is negative
+PLAIN_TABLE = CumulantSpec.star_table(
+    lambda pattern: 0 if len(pattern) % 2 else 1 + 2.0 ** (1 - len(pattern) // 2))
+
+
+@pytest.mark.parametrize("d,m", INTERVAL_CELLS[:INTERVAL_CELLS.index((3, 3)) + 1])
+def test_plain_families_under_a_star_table_match_the_interval_sum(d, m):
+    # the plain word with blocks of 4 and more elements, which the
+    # semicircle's pairs never reach
+    rng = np.random.default_rng(250 * d + m)
+    for r, alpha in _sizes(d, m):
+        plain = random_adjacent_distinct_family(d, r, alpha, rng)
+        expected = _interval_sum(plain, PLAIN_TABLE, m)
+        assert math.isclose(nonholo_moment(plain, PLAIN_TABLE, m), expected.real,
+                            rel_tol=1e-12), (r, alpha)
+
+
+def test_star_table_moments_past_the_old_caps():
+    rng = np.random.default_rng(601)
+    rdiag = SPECS["rdiag"]
+    alternating = CumulantSpec.star_table(
+        lambda pattern: rdiag.block_value(pattern)
+        if all(x != y for x, y in zip(pattern, pattern[1:])) else 0)
+    a = random_family(1, 2, 2, rng)
+    for m in (13, 40):  # 2dm past the star cap of 24
+        assert math.isclose(holo_moment(a, alternating, m), holo_moment(a, rdiag, m),
+                            rel_tol=1e-12), m
+    pairs = CumulantSpec.star_table(lambda pattern: 1 if len(pattern) == 2 else 0)
+    b = random_adjacent_distinct_family(2, 2, 2, rng)
+    assert math.isclose(nonholo_moment(b, pairs, 20), nonholo_moment(b, SEMI, 20),
+                        rel_tol=1e-12)
 
 
 def _first_m_past_cap(entries_at):
@@ -248,7 +289,7 @@ def test_past_the_cap_the_old_caps_still_enumerate(monkeypatch):
     plain = random_family(2, 2, 2, rng)
     star = random_star_family(2, 2, 2, rng)
     distinct = random_adjacent_distinct_family(2, 2, 2, rng)
-    cases = ([(holo_moment, plain, spec) for spec in (*SPECS.values(), SEMI)]
+    cases = ([(holo_moment, plain, spec) for spec in (*SPECS.values(), SEMI, STARRED_TABLE)]
              + [(nonholo_moment, star, spec) for spec in SPECS.values()]
              + [(nonholo_moment, distinct, SEMI)])
     expected = [moment(a, spec, 2) for moment, a, spec in cases]
