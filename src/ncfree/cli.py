@@ -111,19 +111,24 @@ class Report:
 # verification suites
 
 
+def _cells(args):
+    """(d, m, GridShape(d, m)) for every cell up to --d and --m, d outermost."""
+    for d in range(1, args.d + 1):
+        for m in range(1, args.m + 1):
+            yield d, m, GridShape(d, m)
+
+
 def suite_counting(args) -> Report:
     rep = Report()
     for n in range(1, args.n + 1):
         count = sum(1 for _ in enumerate_nc(n))
         rep.exact("nc-count", "n=%d" % n, count, catalan(n))
-    for d in range(1, args.d + 1):
-        for m in range(1, args.m + 1):
-            g = GridShape(d, m)
-            pairings = sum(1 for _ in enumerate_ncstar2(g))
-            rep.exact("star-pairing-count", "d=%d,m=%d" % (d, m), pairings, fuss_catalan(d, m))
-            avoiding = sum(1 for _ in enumerate_interval_pairings(g))
-            rep.exact("interval-pairing-count", "d=%d,m=%d" % (d, m),
-                      avoiding, chebyshev_pair_count(d, m))
+    for d, m, g in _cells(args):
+        pairings = sum(1 for _ in enumerate_ncstar2(g))
+        rep.exact("star-pairing-count", "d=%d,m=%d" % (d, m), pairings, fuss_catalan(d, m))
+        avoiding = sum(1 for _ in enumerate_interval_pairings(g))
+        rep.exact("interval-pairing-count", "d=%d,m=%d" % (d, m),
+                  avoiding, chebyshev_pair_count(d, m))
     for m in range(1, args.m + 2):
         for d in range(1, args.d + 2):
             total = sum(chain_count_by_ranks(m, s) for s in rank_vectors(m, d))
@@ -151,46 +156,42 @@ def suite_martingale(args) -> Report:
 
 def suite_terminal(args) -> Report:
     rep = Report()
-    for d in range(1, args.d + 1):
-        for m in range(1, args.m + 1):
-            g = GridShape(d, m)
-            terminals = terminal_partitions(g)
-            fixed = all(
-                symmetrize(t, i * d) == t
-                for t in terminals.values()
-                for i in range(1, 2 * m + 1)
-            )
-            rep.check("terminal-fixed-points", "d=%d,m=%d" % (d, m), fixed)
-            for name, stream in (("star", enumerate_ncstar(g)), ("interval", enumerate_ncdm(g))):
-                count = 0
-                try:
-                    for p in stream:
-                        symmetrize_terminal(p, g)
-                        count += 1
-                    rep.check("terminal-%s" % name, "d=%d,m=%d,members=%d" % (d, m, count), True)
-                except ValueError as exc:
-                    rep.check("terminal-%s" % name, "d=%d,m=%d (%s)" % (d, m, exc), False)
+    for d, m, g in _cells(args):
+        terminals = terminal_partitions(g)
+        fixed = all(
+            symmetrize(t, i * d) == t
+            for t in terminals.values()
+            for i in range(1, 2 * m + 1)
+        )
+        rep.check("terminal-fixed-points", "d=%d,m=%d" % (d, m), fixed)
+        for name, stream in (("star", enumerate_ncstar(g)), ("interval", enumerate_ncdm(g))):
+            count = 0
+            try:
+                for p in stream:
+                    symmetrize_terminal(p, g)
+                    count += 1
+                rep.check("terminal-%s" % name, "d=%d,m=%d,members=%d" % (d, m, count), True)
+            except ValueError as exc:
+                rep.check("terminal-%s" % name, "d=%d,m=%d (%s)" % (d, m, exc), False)
     return rep
 
 
 def suite_fibers(args) -> Report:
     rep = Report()
-    for d in range(1, args.d + 1):
-        for m in range(1, args.m + 1):
-            g = GridShape(d, m)
-            fibers = families.chain_fibers(g)
-            worst = max(len(v) for v in fibers.values())
-            rep.check("chain-fiber-bound", "d=%d,m=%d,max=%d" % (d, m, worst),
-                      worst <= 4 ** (2 * m), value=worst, bound=4 ** (2 * m))
-            members = sum(len(v) for v in fibers.values())
-            size_ok = all(
-                max(len(b) for b in p.blocks) <= 2 * m
-                and sum(1 for b in p.blocks if len(b) == 2) >= d * m - 2 * m
-                for v in fibers.values() for p in v)
-            rep.check("fiber-structure", "d=%d,m=%d,members=%d" % (d, m, members), size_ok)
-            count = sum(1 for _ in enumerate_ncdm(g))
-            rep.check("interval-family-bound", "d=%d,m=%d,count=%d" % (d, m, count),
-                      count <= (4 * d + 4) ** (2 * m), value=count, bound=(4 * d + 4) ** (2 * m))
+    for d, m, g in _cells(args):
+        fibers = families.chain_fibers(g)
+        worst = max(len(v) for v in fibers.values())
+        rep.check("chain-fiber-bound", "d=%d,m=%d,max=%d" % (d, m, worst),
+                  worst <= 4 ** (2 * m), value=worst, bound=4 ** (2 * m))
+        members = sum(len(v) for v in fibers.values())
+        size_ok = all(
+            max(len(b) for b in p.blocks) <= 2 * m
+            and sum(1 for b in p.blocks if len(b) == 2) >= d * m - 2 * m
+            for v in fibers.values() for p in v)
+        rep.check("fiber-structure", "d=%d,m=%d,members=%d" % (d, m, members), size_ok)
+        count = sum(1 for _ in enumerate_ncdm(g))
+        rep.check("interval-family-bound", "d=%d,m=%d,count=%d" % (d, m, count),
+                  count <= (4 * d + 4) ** (2 * m), value=count, bound=(4 * d + 4) ** (2 * m))
     return rep
 
 
@@ -201,85 +202,80 @@ def _random_families(args, d):
 
 def suite_identifications(args) -> Report:
     rep = Report()
-    for d in range(1, args.d + 1):
-        for m in range(1, args.m + 1):
-            g = GridShape(d, m)
-            worst_eq = 0.0
-            worst_ineq = 0.0
-            for fam in _random_families(args, d):
-                for l in range(d + 1):
-                    lhs = trace_sum(fam, level_terminal(g, l))
-                    rhs = schatten_pow(build_Ml(fam, l), m)
-                    worst_eq = max(worst_eq, abs(lhs - rhs) / max(1.0, abs(rhs)))
-                for l in range(1, d + 1):
-                    lhs = trace_sum(fam, glued_level_terminal(g, l))
-                    rhs = schatten_pow(build_Ml(fam, l), m)
-                    worst_ineq = max(worst_ineq, (lhs - rhs) / max(1.0, abs(rhs)))
-            rep.add("identify-equality", "d=%d,m=%d" % (d, m), worst_eq, 1e-9, worst_eq, 1e-9)
-            rep.add("identify-inequality", "d=%d,m=%d" % (d, m), worst_ineq, 1e-9,
-                    max(worst_ineq, 0.0), 1e-9)
+    for d, m, g in _cells(args):
+        worst_eq = 0.0
+        worst_ineq = 0.0
+        for fam in _random_families(args, d):
+            for l in range(d + 1):
+                lhs = trace_sum(fam, level_terminal(g, l))
+                rhs = schatten_pow(build_Ml(fam, l), m)
+                worst_eq = max(worst_eq, abs(lhs - rhs) / max(1.0, abs(rhs)))
+            for l in range(1, d + 1):
+                lhs = trace_sum(fam, glued_level_terminal(g, l))
+                rhs = schatten_pow(build_Ml(fam, l), m)
+                worst_ineq = max(worst_ineq, (lhs - rhs) / max(1.0, abs(rhs)))
+        rep.add("identify-equality", "d=%d,m=%d" % (d, m), worst_eq, 1e-9, worst_eq, 1e-9)
+        rep.add("identify-inequality", "d=%d,m=%d" % (d, m), worst_ineq, 1e-9,
+                max(worst_ineq, 0.0), 1e-9)
     return rep
 
 
 def suite_cauchy_schwarz(args) -> Report:
     rep = Report()
-    for d in range(1, args.d + 1):
-        for m in range(1, args.m + 1):
-            g = GridShape(d, m)
-            members = list(enumerate_ncstar(g))
-            fams = _random_families(args, d)
+    for d, m, g in _cells(args):
+        members = list(enumerate_ncstar(g))
+        fams = _random_families(args, d)
+        worst = 0.0
+        for fam in fams:
+            for p in members:
+                lhs = abs(trace_sum_complex(fam, p))
+                for i in range(1, 2 * m + 1):
+                    left = trace_sum(fam, symmetrize(p, d * i))
+                    right = trace_sum(fam, symmetrize(p, (m + i) * d))
+                    rhs = math.sqrt(max(left, 0.0) * max(right, 0.0))
+                    worst = max(worst, lhs - rhs * (1 + 1e-9) - 1e-9)
+        rep.check("cauchy-schwarz", "d=%d,m=%d,members=%d" % (d, m, len(members)),
+                  worst <= 0.0, value=worst, bound=0.0)
+        if m >= 2:
             worst = 0.0
             for fam in fams:
+                norms = [schatten_norm(build_Ml(fam, l), m) for l in range(d + 1)]
                 for p in members:
+                    mus = level_exponents(p, g)
+                    bound = 1.0
+                    for norm, mu in zip(norms, mus):
+                        bound *= norm ** (2 * m * float(mu))
                     lhs = abs(trace_sum_complex(fam, p))
-                    for i in range(1, 2 * m + 1):
-                        left = trace_sum(fam, symmetrize(p, d * i))
-                        right = trace_sum(fam, symmetrize(p, (m + i) * d))
-                        rhs = math.sqrt(max(left, 0.0) * max(right, 0.0))
-                        worst = max(worst, lhs - rhs * (1 + 1e-9) - 1e-9)
-            rep.check("cauchy-schwarz", "d=%d,m=%d,members=%d" % (d, m, len(members)),
-                      worst <= 0.0, value=worst, bound=0.0)
-            if m >= 2:
-                worst = 0.0
-                for fam in fams:
-                    norms = [schatten_norm(build_Ml(fam, l), m) for l in range(d + 1)]
-                    for p in members:
-                        mus = level_exponents(p, g)
-                        bound = 1.0
-                        for norm, mu in zip(norms, mus):
-                            bound *= norm ** (2 * m * float(mu))
-                        lhs = abs(trace_sum_complex(fam, p))
-                        worst = max(worst, lhs - bound * (1 + 1e-9) - 1e-9)
-                rep.check("exponent-bound", "d=%d,m=%d" % (d, m), worst <= 0.0,
-                          value=worst, bound=0.0)
-            bad = 0
-            for p in members:
-                probs = absorption_probabilities(p, g)
-                prof = collapse_count_profile(p, g)
-                for l in range(d + 1):
-                    lam = probs[TerminalKind("level", l)]
-                    lam += probs.get(TerminalKind("glued", l), Fraction(0))
-                    if lam * (m - 1) != prof[l + 1] - prof[l]:
-                        bad += 1
-                if sum(probs.values()) != 1:
+                    worst = max(worst, lhs - bound * (1 + 1e-9) - 1e-9)
+            rep.check("exponent-bound", "d=%d,m=%d" % (d, m), worst <= 0.0,
+                      value=worst, bound=0.0)
+        bad = 0
+        for p in members:
+            probs = absorption_probabilities(p, g)
+            prof = collapse_count_profile(p, g)
+            for l in range(d + 1):
+                lam = probs[TerminalKind("level", l)]
+                lam += probs.get(TerminalKind("glued", l), Fraction(0))
+                if lam * (m - 1) != prof[l + 1] - prof[l]:
                     bad += 1
-            rep.check("absorption-identity", "d=%d,m=%d" % (d, m), bad == 0, value=bad, bound=0)
+            if sum(probs.values()) != 1:
+                bad += 1
+        rep.check("absorption-identity", "d=%d,m=%d" % (d, m), bad == 0, value=bad, bound=0)
     return rep
 
 
 def suite_main_inequality(args) -> Report:
     rep = Report()
     specs = [CumulantSpec.circular(), CumulantSpec.haar_unitary()]
-    for d in range(1, args.d + 1):
-        for m in range(1, args.m + 1):
-            for spec in specs:
-                worst = 0.0
-                for fam in _random_families(args, d):
-                    lhs = holo_norm_2m(fam, spec, m)
-                    rhs = holo_rhs_bound(fam, spec, m)
-                    worst = max(worst, lhs - rhs * (1 + 1e-9))
-                rep.check("main-inequality-%s" % spec.kind, "d=%d,m=%d" % (d, m),
-                          worst <= 0.0, value=worst, bound=0.0)
+    for d, m, _ in _cells(args):
+        for spec in specs:
+            worst = 0.0
+            for fam in _random_families(args, d):
+                lhs = holo_norm_2m(fam, spec, m)
+                rhs = holo_rhs_bound(fam, spec, m)
+                worst = max(worst, lhs - rhs * (1 + 1e-9))
+            rep.check("main-inequality-%s" % spec.kind, "d=%d,m=%d" % (d, m),
+                      worst <= 0.0, value=worst, bound=0.0)
     return rep
 
 
@@ -288,24 +284,23 @@ def suite_nonholo(args) -> Report:
     semi = CumulantSpec.semicircular()
     circ = CumulantSpec.circular()
     rng = np.random.default_rng(args.seed)
-    for d in range(1, args.d + 1):
-        for m in range(1, args.m + 1):
-            worst = 0.0
-            for _ in range(args.trials):
-                fam = random_adjacent_distinct_family(d, args.r, args.alpha, rng)
-                lhs = nonholo_norm_2m(fam, semi, m)
-                rhs = nonholo_rhs_bound(fam, semi, m)
-                worst = max(worst, lhs - rhs * (1 + 1e-9))
-            rep.check("nonholo-selfadjoint", "d=%d,m=%d" % (d, m), worst <= 0.0,
-                      value=worst, bound=0.0)
-            worst = 0.0
-            for _ in range(args.trials):
-                fam = random_star_family(d, args.r, args.alpha, rng)
-                lhs = nonholo_norm_2m(fam, circ, m)
-                rhs = nonholo_rhs_bound(fam, circ, m)
-                worst = max(worst, lhs - rhs * (1 + 1e-9))
-            rep.check("nonholo-rdiag", "d=%d,m=%d" % (d, m), worst <= 0.0,
-                      value=worst, bound=0.0)
+    for d, m, _ in _cells(args):
+        worst = 0.0
+        for _ in range(args.trials):
+            fam = random_adjacent_distinct_family(d, args.r, args.alpha, rng)
+            lhs = nonholo_norm_2m(fam, semi, m)
+            rhs = nonholo_rhs_bound(fam, semi, m)
+            worst = max(worst, lhs - rhs * (1 + 1e-9))
+        rep.check("nonholo-selfadjoint", "d=%d,m=%d" % (d, m), worst <= 0.0,
+                  value=worst, bound=0.0)
+        worst = 0.0
+        for _ in range(args.trials):
+            fam = random_star_family(d, args.r, args.alpha, rng)
+            lhs = nonholo_norm_2m(fam, circ, m)
+            rhs = nonholo_rhs_bound(fam, circ, m)
+            worst = max(worst, lhs - rhs * (1 + 1e-9))
+        rep.check("nonholo-rdiag", "d=%d,m=%d" % (d, m), worst <= 0.0,
+                  value=worst, bound=0.0)
     return rep
 
 
@@ -333,22 +328,21 @@ def suite_oracles(args) -> Report:
     rng = np.random.default_rng(args.seed)
     circ = CumulantSpec.circular()
     haar = CumulantSpec.haar_unitary()
-    for d in range(1, args.d + 1):
-        for m in range(1, args.m + 1):
-            fam = random_family(d, 2, min(args.alpha, 2), rng)
-            lhs = matrices.holo_moment(fam, circ, m)
-            rhs = oracles.fock_moment(fam, "circular", m)
+    for d, m, _ in _cells(args):
+        fam = random_family(d, 2, min(args.alpha, 2), rng)
+        lhs = matrices.holo_moment(fam, circ, m)
+        rhs = oracles.fock_moment(fam, "circular", m)
+        residual = abs(lhs - rhs) / max(1.0, abs(rhs))
+        rep.add("oracle-fock", "d=%d,m=%d" % (d, m), lhs, rhs, residual, 1e-8)
+        fam = random_family(d, args.r, args.alpha, rng)
+        lhs = matrices.holo_moment(fam, haar, m)
+        rhs = oracles.free_group_moment(fam, m)
+        residual = abs(lhs - rhs) / max(1.0, abs(rhs))
+        rep.add("oracle-free-group", "d=%d,m=%d" % (d, m), lhs, rhs, residual, 1e-9)
+        if 2 * d * m <= oracles.BRUTE_GROUND_CAP:
+            rhs = oracles.brute_moment(haar, fam, m)
             residual = abs(lhs - rhs) / max(1.0, abs(rhs))
-            rep.add("oracle-fock", "d=%d,m=%d" % (d, m), lhs, rhs, residual, 1e-8)
-            fam = random_family(d, args.r, args.alpha, rng)
-            lhs = matrices.holo_moment(fam, haar, m)
-            rhs = oracles.free_group_moment(fam, m)
-            residual = abs(lhs - rhs) / max(1.0, abs(rhs))
-            rep.add("oracle-free-group", "d=%d,m=%d" % (d, m), lhs, rhs, residual, 1e-9)
-            if 2 * d * m <= oracles.BRUTE_GROUND_CAP:
-                rhs = oracles.brute_moment(haar, fam, m)
-                residual = abs(lhs - rhs) / max(1.0, abs(rhs))
-                rep.add("oracle-brute", "d=%d,m=%d" % (d, m), lhs, rhs, residual, 1e-9)
+            rep.add("oracle-brute", "d=%d,m=%d" % (d, m), lhs, rhs, residual, 1e-9)
     return rep
 
 

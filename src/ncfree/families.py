@@ -53,14 +53,18 @@ def fuss_catalan(d: int, m: int) -> int:
 # membership tests
 
 
+def _even_noncrossing(p: Partition, g: GridShape) -> bool:
+    """The condition every family shares: even blocks and no crossing.
+    Raises ValueError when p is not on the grid's ground set."""
+    if p.n != g.n:
+        raise ValueError("partition on [%d] does not match grid on [%d]" % (p.n, g.n))
+    return all(len(b) % 2 == 0 for b in p.blocks) and is_noncrossing(p)
+
+
 def is_ncstar(p: Partition, g: GridShape) -> bool:
     """Even-block non-crossing partitions whose consecutive block elements sit
     in intervals of opposite parity."""
-    if p.n != g.n:
-        raise ValueError("partition on [%d] does not match grid on [%d]" % (p.n, g.n))
-    if any(len(b) % 2 for b in p.blocks):
-        return False
-    if not is_noncrossing(p):
+    if not _even_noncrossing(p, g):
         return False
     for b in p.blocks:
         for x, y in zip(b, b[1:]):
@@ -72,11 +76,7 @@ def is_ncstar(p: Partition, g: GridShape) -> bool:
 def is_ncstar_by_labels(p: Partition, g: GridShape) -> bool:
     """Equivalent characterization: even blocks, non-crossing, finer than the
     label classes."""
-    if p.n != g.n:
-        raise ValueError("partition on [%d] does not match grid on [%d]" % (p.n, g.n))
-    if any(len(b) % 2 for b in p.blocks):
-        return False
-    if not is_noncrossing(p):
+    if not _even_noncrossing(p, g):
         return False
     for b in p.blocks:
         labels = {g.label_of(x) for x in b}
@@ -88,11 +88,7 @@ def is_ncstar_by_labels(p: Partition, g: GridShape) -> bool:
 def is_interval_avoiding(p: Partition, g: GridShape) -> bool:
     """Even-block non-crossing partitions never linking a size-d interval to
     itself."""
-    if p.n != g.n:
-        raise ValueError("partition on [%d] does not match grid on [%d]" % (p.n, g.n))
-    if any(len(b) % 2 for b in p.blocks):
-        return False
-    if not is_noncrossing(p):
+    if not _even_noncrossing(p, g):
         return False
     for b in p.blocks:
         intervals = [g.interval_of(x) for x in b]

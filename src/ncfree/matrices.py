@@ -739,8 +739,14 @@ def holo_rhs_bound(a, spec: CumulantSpec, m: int = None) -> float:
     base = math.sqrt(math.e) * ell2 if m is None else math.e * math.sqrt(1 + d / m) * ell2
     if spec.kind == "circular":
         return base
+    return _rdiag_factor(spec, d, m) * base
+
+
+def _rdiag_factor(spec: CumulantSpec, d: int, m) -> float:
+    """4^5 ||c||_2^(d-2) ||c||_p^2 for p = 2m, or the operator norm of c when
+    m is None: the constant of both R-diagonal bounds."""
     cp = c_operator_norm(spec) if m is None else c_norm_2m(spec, m)
-    return 4 ** 5 * c_norm_2(spec) ** (d - 2) * cp ** 2 * base
+    return 4 ** 5 * c_norm_2(spec) ** (d - 2) * cp ** 2
 
 
 def _check_adjacent_support(a: CoefficientFamily) -> None:
@@ -798,8 +804,7 @@ def nonholo_rhs_bound(a, spec: CumulantSpec, m: int = None) -> float:
     """4^5 ||c||_p^2 ||c||_2^(d-2) (d+1) max_l ||M_l||_p for p = 2m or infinity."""
     d = a.d
     norms = ml_norms(a, m)
-    cp = c_operator_norm(spec) if m is None else c_norm_2m(spec, m)
-    return 4 ** 5 * cp ** 2 * c_norm_2(spec) ** (d - 2) * (d + 1) * max(norms)
+    return _rdiag_factor(spec, d, m) * (d + 1) * max(norms)
 
 
 # ---------------------------------------------------------------------------
@@ -826,16 +831,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _product_mod(key: tuple, p: int) -> int:
+    """k_1 ... k_d mod p, reduced after every factor."""
+    prod = 1
+    for k in key:
+        prod = (prod * k) % p
+    return prod
+
+
 def prime_family(p: int, d: int) -> CoefficientFamily:
     """Scalar family exp(2 i pi k_1 ... k_d / p) over the alphabet {1..p}."""
     if not is_prime(p):
         raise ValueError("%d is not prime" % p)
     entries = {}
     for key in product(range(1, p + 1), repeat=d):
-        prod = 1
-        for k in key:
-            prod = (prod * k) % p
-        entries[key] = [[cmath.exp(2j * cmath.pi * prod / p)]]
+        entries[key] = [[cmath.exp(2j * cmath.pi * _product_mod(key, p) / p)]]
     return CoefficientFamily(d, p, 1, entries)
 
 
@@ -850,12 +860,7 @@ def prime_family_gram(p: int, d: int, l: int) -> np.ndarray:
     size = p ** l
     base = p ** (d - l) - p * (p - 1) ** (d - l - 1)
     bump = p * (p - 1) ** (d - l - 1)
-    prods = []
-    for s in product(range(1, p + 1), repeat=l):
-        acc = 1
-        for x in s:
-            acc = (acc * x) % p
-        prods.append(acc)
+    prods = [_product_mod(s, p) for s in product(range(1, p + 1), repeat=l)]
     gram = np.full((size, size), float(base), dtype=complex)
     for i in range(size):
         for j in range(size):
@@ -868,35 +873,32 @@ def prime_family_gram(p: int, d: int, l: int) -> np.ndarray:
 # reproducible random families
 
 
+def _draws(keys, alpha: int, rng: np.random.Generator) -> dict:
+    """One matrix per key, in key order, uniform in [-1,1] + i[-1,1]
+    componentwise; each matrix draws its real part, then its imaginary part."""
+    return {key: rng.uniform(-1, 1, (alpha, alpha)) + 1j * rng.uniform(-1, 1, (alpha, alpha))
+            for key in keys}
+
+
 def random_family(d: int, r: int, alpha: int, rng: np.random.Generator) -> CoefficientFamily:
     """Full support, entries uniform in [-1,1] + i[-1,1] componentwise."""
-    entries = {}
-    for key in product(range(1, r + 1), repeat=d):
-        entries[key] = rng.uniform(-1, 1, (alpha, alpha)) + 1j * rng.uniform(-1, 1, (alpha, alpha))
-    return CoefficientFamily(d, r, alpha, entries)
+    return CoefficientFamily(d, r, alpha, _draws(product(range(1, r + 1), repeat=d), alpha, rng))
 
 
 def random_adjacent_distinct_family(d: int, r: int, alpha: int,
                                     rng: np.random.Generator) -> CoefficientFamily:
     """Support restricted to tuples with no equal neighbouring indices."""
-    entries = {}
-    for key in product(range(1, r + 1), repeat=d):
-        if any(key[i] == key[i + 1] for i in range(d - 1)):
-            continue
-        entries[key] = rng.uniform(-1, 1, (alpha, alpha)) + 1j * rng.uniform(-1, 1, (alpha, alpha))
-    return CoefficientFamily(d, r, alpha, entries)
+    keys = (key for key in product(range(1, r + 1), repeat=d)
+            if not any(key[i] == key[i + 1] for i in range(d - 1)))
+    return CoefficientFamily(d, r, alpha, _draws(keys, alpha, rng))
 
 
 def random_star_family(d: int, r: int, alpha: int,
                        rng: np.random.Generator) -> StarCoefficientFamily:
     """Full reduced-word support over the doubled alphabet."""
-    entries = {}
-    for idx in product(range(1, r + 1), repeat=d):
-        for stars in product((False, True), repeat=d):
-            if _in_reduced_support(idx, stars):
-                entries[(idx, stars)] = (rng.uniform(-1, 1, (alpha, alpha))
-                                         + 1j * rng.uniform(-1, 1, (alpha, alpha)))
-    return StarCoefficientFamily(d, r, alpha, entries)
+    keys = ((idx, stars) for idx in product(range(1, r + 1), repeat=d)
+            for stars in product((False, True), repeat=d) if _in_reduced_support(idx, stars))
+    return StarCoefficientFamily(d, r, alpha, _draws(keys, alpha, rng))
 
 
 # ---------------------------------------------------------------------------

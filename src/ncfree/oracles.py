@@ -289,13 +289,14 @@ def trace_pairing(p: Dict[tuple, np.ndarray], q: Dict[tuple, np.ndarray]) -> com
 
 def family_group_element(a: CoefficientFamily) -> Dict[tuple, np.ndarray]:
     """sum_k a_k lambda(g_{k_1} ... g_{k_d}), positive letters only."""
-    out: Dict[tuple, np.ndarray] = {}
-    for key, mat in a.entries.items():
-        w = tuple(key)
-        if w in out:
-            out[w] += mat
-        else:
-            out[w] = mat
+    return {tuple(key): mat for key, mat in a.entries.items()}
+
+
+def _power(x: Dict[tuple, np.ndarray], k: int, alpha: int) -> Dict[tuple, np.ndarray]:
+    """x convolved with itself k times; the unit of the algebra when k = 0."""
+    out = {(): np.eye(alpha, dtype=complex)}
+    for _ in range(k):
+        out = convolve(out, x)
     return out
 
 
@@ -305,15 +306,7 @@ def free_group_moment(a: CoefficientFamily, m: int) -> float:
         raise ValueError("need m >= 1")
     elem = family_group_element(a)
     x = convolve(elem, adjoint_element(elem))
-    left_power = m // 2
-    right_power = m - left_power
-    left = {(): np.eye(a.alpha, dtype=complex)}
-    for _ in range(left_power):
-        left = convolve(left, x)
-    right = {(): np.eye(a.alpha, dtype=complex)}
-    for _ in range(right_power):
-        right = convolve(right, x)
-    return trace_pairing(left, right).real
+    return trace_pairing(_power(x, m // 2, a.alpha), _power(x, m - m // 2, a.alpha)).real
 
 
 # ---------------------------------------------------------------------------

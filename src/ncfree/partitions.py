@@ -63,29 +63,25 @@ class Partition:
         missing = [x for x in range(1, n + 1) if not seen[x]]
         if missing:
             raise ValueError("elements missing from partition: %s" % missing)
-        self.n = n
-        self.blocks = tuple(canon)
-        self._block_id = self._index(n, self.blocks)
-        self._collapsed = None
-        self._cut_counts = None
+        self._fill(n, tuple(canon))
 
-    @staticmethod
-    def _index(n: int, blocks: tuple) -> tuple:
+    def _fill(self, n: int, blocks: tuple) -> None:
+        """Set every slot from canonical blocks; no stored value yet."""
         bid = [0] * n
         for j, b in enumerate(blocks):
             for x in b:
                 bid[x - 1] = j
-        return tuple(bid)
+        self.n = n
+        self.blocks = blocks
+        self._block_id = tuple(bid)
+        self._collapsed = None
+        self._cut_counts = None
 
     @classmethod
     def _trusted(cls, n: int, blocks: tuple) -> "Partition":
         """Build from already-canonical blocks, skipping validation."""
         p = object.__new__(cls)
-        p.n = n
-        p.blocks = blocks
-        p._block_id = cls._index(n, blocks)
-        p._collapsed = None
-        p._cut_counts = None
+        p._fill(n, blocks)
         return p
 
     def block_id(self, i: int) -> int:

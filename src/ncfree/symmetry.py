@@ -155,31 +155,32 @@ def level_terminal(g: GridShape, l: int) -> Partition:
     """Terminal with shifted pairings on labels <= l, interval pairings above."""
     if not 0 <= l <= g.d:
         raise ValueError("level %d outside 0..%d" % (l, g.d))
-    blocks = []
-    for i in range(1, g.d + 1):
-        pattern = shifted_pairing(g.m) if i <= l else interval_pairing(g.m)
-        blocks.extend(_lift_blocks(pattern, g.label_class(i)))
-    return Partition(g.n, blocks)
+    return _by_label(g, lambda i: shifted_pairing(g.m) if i <= l else interval_pairing(g.m))
 
 
 def glued_level_terminal(g: GridShape, l: int) -> Partition:
     """Terminal with the label-l class fully connected."""
     if not 1 <= l <= g.d:
         raise ValueError("level %d outside 1..%d" % (l, g.d))
+
+    def pattern_of(i: int) -> Partition:
+        if i < l:
+            return shifted_pairing(g.m)
+        if i == l:
+            return full(2 * g.m)
+        return interval_pairing(g.m)
+
+    return _by_label(g, pattern_of)
+
+
+def _by_label(g: GridShape, pattern_of) -> Partition:
+    """The partition carrying pattern_of(i), a partition of {1..2m}, on the
+    positions of label class i, for every label i."""
     blocks = []
     for i in range(1, g.d + 1):
-        if i < l:
-            pattern = shifted_pairing(g.m)
-        elif i == l:
-            pattern = full(2 * g.m)
-        else:
-            pattern = interval_pairing(g.m)
-        blocks.extend(_lift_blocks(pattern, g.label_class(i)))
+        positions = g.label_class(i)
+        blocks.extend([tuple(positions[x - 1] for x in b) for b in pattern_of(i).blocks])
     return Partition(g.n, blocks)
-
-
-def _lift_blocks(pattern: Partition, positions: tuple) -> list:
-    return [tuple(positions[x - 1] for x in b) for b in pattern.blocks]
 
 
 def terminal_partitions(g: GridShape) -> Dict[TerminalKind, Partition]:

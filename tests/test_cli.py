@@ -29,6 +29,26 @@ def test_enumerate_ncstar2(capsys):
     assert "closed_form=3" in err
 
 
+def test_enumerate_interval_pairings(capsys):
+    import csv
+    import io
+
+    from ncfree.partitions import is_noncrossing, parse_partition
+    from ncfree.symmetry import GridShape
+
+    code, out, err = run(capsys, "enumerate", "--family", "interval-pairings",
+                         "--d", "3", "--m", "3")
+    assert code == 0
+    assert "count=34 closed_form=34" in err
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["partition"] and len(rows) == 35
+    g = GridShape(3, 3)
+    for (text,) in rows[1:]:
+        p = parse_partition(text, g.n)
+        assert is_noncrossing(p) and all(len(b) == 2 for b in p.blocks), text
+        assert all(g.interval_of(x) != g.interval_of(y) for x, y in p.blocks), text
+
+
 def test_enumerate_usage_error(capsys):
     code, out, err = run(capsys, "enumerate", "--family", "nc", "--n", "0")
     assert code == 2
@@ -262,6 +282,18 @@ def test_norm_past_the_float_range_exits_0(tmp_path, capsys):
     expected = math.sqrt(20) * math.exp(math.log(math.comb(512, 256) // 257) / 512)
     assert math.isclose(float(values["lhs_norm_2m"]), expected, rel_tol=1e-9)
     assert float(values["ratio"]) <= 1  # the Schatten norms on the right stay finite too
+
+
+def test_norm_imaginary_residual_exits_2(tmp_path, monkeypatch, capsys):
+    from ncfree import matrices
+
+    monkeypatch.setattr(matrices, "planar_sum", lambda a, spec, m: 1 + 1j)
+    path = str(tmp_path / "fam.txt")
+    save_family(random_family(2, 2, 2, np.random.default_rng(42)), path)
+    code, out, err = run(capsys, "norm", "--family-file", path, "--spec", "circular",
+                         "--m", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("norm: ") and "imaginary residual" in err
 
 
 def test_norm_negative_moment_exits_2(tmp_path, monkeypatch, capsys):

@@ -102,9 +102,15 @@ INTERVAL_CELLS = ([(1, m) for m in range(1, 6)] + [(2, m) for m in range(1, 5)]
 @pytest.mark.parametrize("d,m", INTERVAL_CELLS)
 def test_planar_sum_matches_interval_sum(d, m):
     rng = np.random.default_rng(200 * d + m)
+    compared = 0
     for r, alpha in _sizes(d, m):
         plain = random_adjacent_distinct_family(d, r, alpha, rng)
-        assert _close(planar_sum(plain, SEMI, m), _interval_sum(plain, SEMI, m)), (r, alpha)
+        # empty at r = 1 for d >= 2, where both sums are 0; it draws nothing
+        if plain.entries:
+            expected = _interval_sum(plain, SEMI, m)
+            assert expected != 0, (r, alpha)
+            assert _close(planar_sum(plain, SEMI, m), expected), (r, alpha)
+            compared += 1
         # past these the enumerated star sum itself fails (dense tensor, or
         # the trace-sum assignment cap)
         if (2 * r) ** d * alpha * alpha > 2 ** 14 or (2 * r) ** (d * m) > ASSIGNMENT_CAP:
@@ -113,6 +119,7 @@ def test_planar_sum_matches_interval_sum(d, m):
         for name, spec in SPECS.items():
             expected = _interval_sum(star, spec, m)
             assert _close(planar_sum(star, spec, m), expected), (name, r, alpha)
+    assert compared
 
 
 @pytest.mark.parametrize("d,m", [(1, 8), (2, 4), (1, 12), (2, 6), (3, 4)])
@@ -213,11 +220,17 @@ def test_plain_families_under_a_star_table_match_the_interval_sum(d, m):
     # the plain word with blocks of 4 and more elements, which the
     # semicircle's pairs never reach
     rng = np.random.default_rng(250 * d + m)
+    compared = 0
     for r, alpha in _sizes(d, m):
         plain = random_adjacent_distinct_family(d, r, alpha, rng)
+        if not plain.entries:  # r = 1 at d >= 2
+            continue
         expected = _interval_sum(plain, PLAIN_TABLE, m)
+        assert expected != 0, (r, alpha)
         assert math.isclose(nonholo_moment(plain, PLAIN_TABLE, m), expected.real,
                             rel_tol=1e-12), (r, alpha)
+        compared += 1
+    assert compared
 
 
 def test_star_table_moments_past_the_old_caps():
@@ -351,6 +364,21 @@ def test_non_finite_unit_moment_raises_in_both_functions(monkeypatch, total):
         nonholo_moment(random_adjacent_distinct_family(2, 2, 2, rng), SEMI, 2)
     with pytest.raises(ArithmeticError, match="not finite"):
         nonholo_moment(random_star_family(2, 2, 2, rng), SPECS["haar"], 2)
+
+
+def test_imaginary_residual_raises_in_both_functions(monkeypatch):
+    rng = np.random.default_rng(802)
+    cases = [(holo_moment, random_family(2, 2, 2, rng), SPECS["circular"]),
+             (nonholo_moment, random_adjacent_distinct_family(2, 2, 2, rng), SEMI),
+             (nonholo_moment, random_star_family(2, 2, 2, rng), SPECS["haar"])]
+    monkeypatch.setattr(matrices, "planar_sum", lambda a, spec, m: 1 + 1j)
+    for moment, a, spec in cases:
+        with pytest.raises(ArithmeticError, match="imaginary residual"):
+            moment(a, spec, 2)
+    # a residual within rounding of the unit sum is dropped
+    monkeypatch.setattr(matrices, "planar_sum", lambda a, spec, m: 1 + 1e-13j)
+    for moment, a, spec in cases:
+        assert math.isclose(moment(a, spec, 2), a.frobenius() ** 4, rel_tol=1e-12)
 
 
 @pytest.mark.filterwarnings("error")

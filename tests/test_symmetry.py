@@ -203,6 +203,12 @@ def test_cascade_lands_in_terminals(d, m):
         assert term in terminals
 
 
+def test_cascade_without_a_terminal_raises_naming_the_partition():
+    # at d = 2 the all-singleton partition is fixed by every cut but is no terminal
+    with pytest.raises(ValueError, match=re.escape("1|2|3|4|5|6|7|8")):
+        symmetrize_terminal(discrete(8), GridShape(2, 2))
+
+
 def test_terminals_are_fixed_points_of_all_cuts():
     for d, m in [(1, 3), (2, 2), (3, 3)]:
         g = GridShape(d, m)
