@@ -35,13 +35,19 @@ def cyclic_index(i: int, n: int) -> int:
 class Partition:
     """A set partition of {1..n} in canonical block form.
 
+    _block_id lists the block index of each position 1..n.  Code that
+    derives a partition position by position (a symmetrization, a
+    collapse) works on such label lists and builds the partition once,
+    through _from_labels.
+
     A partition never changes, so values derived from it may be stored on
     it the first time they are computed.  Two slots hold such values for
     ncfree.symmetry, and neither takes part in equality or hashing:
     _collapsed is the block count of collapse_pairs(p), set only once p
     has been checked to have even blocks and no crossing (None before);
-    _cut_counts maps a cut k in 1..n to that count for symmetrize(p, k)
-    (None until the first cut is counted).
+    _cut_counts maps a cut k in 1..n to that count for symmetrize(p, k),
+    set only once that symmetrization has been checked the same way (None
+    until the first cut is counted).
     """
 
     __slots__ = ("n", "blocks", "_block_id", "_collapsed", "_cut_counts")
@@ -65,15 +71,18 @@ class Partition:
             raise ValueError("elements missing from partition: %s" % missing)
         self._fill(n, tuple(canon))
 
-    def _fill(self, n: int, blocks: tuple) -> None:
-        """Set every slot from canonical blocks; no stored value yet."""
-        bid = [0] * n
-        for j, b in enumerate(blocks):
-            for x in b:
-                bid[x - 1] = j
+    def _fill(self, n: int, blocks: tuple, block_id: tuple = None) -> None:
+        """Set every slot from canonical blocks and, when the caller has
+        them, their block ids; no stored value yet."""
+        if block_id is None:
+            bid = [0] * n
+            for j, b in enumerate(blocks):
+                for x in b:
+                    bid[x - 1] = j
+            block_id = tuple(bid)
         self.n = n
         self.blocks = blocks
-        self._block_id = tuple(bid)
+        self._block_id = block_id
         self._collapsed = None
         self._cut_counts = None
 
@@ -82,6 +91,30 @@ class Partition:
         """Build from already-canonical blocks, skipping validation."""
         p = object.__new__(cls)
         p._fill(n, blocks)
+        return p
+
+    @classmethod
+    def _from_labels(cls, n: int, labels) -> "Partition":
+        """Build from the block labels of positions 1..n (any hashable
+        values, one block per distinct label), skipping validation.
+
+        Numbering the labels by first appearance gives the canonical block
+        order, and each block fills in ascending order, so blocks and block
+        ids come out of one pass with no sort.
+        """
+        number = {}
+        blocks = []
+        bid = []
+        for x, label in enumerate(labels, start=1):
+            j = number.get(label)
+            if j is None:
+                j = number[label] = len(blocks)
+                blocks.append([x])
+            else:
+                blocks[j].append(x)
+            bid.append(j)
+        p = object.__new__(cls)
+        p._fill(n, tuple(map(tuple, blocks)), tuple(bid))
         return p
 
     def block_id(self, i: int) -> int:
@@ -259,11 +292,7 @@ def restrict(p: Partition, subset: Sequence[int]) -> Partition:
         raise ValueError("subset must be nonempty")
     if sub[0] < 1 or sub[-1] > p.n:
         raise ValueError("subset not contained in ground set")
-    rank = {x: i + 1 for i, x in enumerate(sub)}
-    groups = {}
-    for x in sub:
-        groups.setdefault(p._block_id[x - 1], []).append(rank[x])
-    return Partition(len(sub), list(groups.values()))
+    return Partition._from_labels(len(sub), [p._block_id[x - 1] for x in sub])
 
 
 def is_refinement(fine: Partition, coarse: Partition) -> bool:
@@ -281,39 +310,61 @@ def collapse_pairs(p: Partition) -> Partition:
     """Identify 2k-1 and 2k of {1..2m} to get a partition of {1..m}.
 
     Two images k, l are related whenever any preimages are related in p,
-    closed transitively (union-find).
+    closed transitively (the union-find of _label_scan).
     """
-    find, _ = _collapse_forest(p)
-    m = p.n // 2
-    groups = {}
-    for k in range(1, m + 1):
-        groups.setdefault(find(k), []).append(k)
-    # groups open at their minimum and fill in ascending order: canonical
-    return Partition._trusted(m, tuple(tuple(g) for g in groups.values()))
-
-
-def _collapse_forest(p: Partition) -> tuple:
-    """Union-find of collapse_pairs: its find function and number of merges,
-    so that collapse_pairs(p) has m minus that many blocks."""
     if p.n % 2 != 0:
         raise ValueError("ground size must be even, got %d" % p.n)
-    parent = list(range(p.n // 2 + 1))
+    parent = _label_scan(p._block_id)[2]
+    return Partition._from_labels(p.n // 2, [_root(parent, b) for b in p._block_id[::2]])
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
+def _label_scan(labels) -> tuple:
+    """One pass over the block labels of positions 1..n (any hashable values).
+
+    Returns (valid, count, parent).  valid holds iff every block has an even
+    number of positions and no two blocks cross.  count is the block count
+    of collapse_pairs of the labelled partition, whatever valid says, and
+    parent is the union-find forest behind it: the blocks of collapse_pairs
+    are the classes of labels joined through the pairs 2j-1, 2j, so count is
+    the number of labels minus the merges, and the block of pair j is
+    _root(parent, label of 2j).
+
+    Crossings are found with a stack of open blocks: a label seen again
+    closes every block opened after its last appearance, and a closed label
+    that comes back crosses the block that closed it.
+    """
+    seen = {}  # label -> appearances so far, negated once its block is closed
+    stack = []
+    parent = {}  # non-root label -> its parent
+    crossing = False
     merges = 0
-    for b in p.blocks:
-        root = find((b[0] + 1) // 2)
-        for x in b[1:]:
-            r = find((x + 1) // 2)
-            if r != root:
-                parent[r] = root
+    for i, label in enumerate(labels):
+        c = seen.get(label, 0)
+        if c > 0:
+            seen[label] = c + 1
+            while stack[-1] != label:
+                top = stack.pop()
+                seen[top] = -seen[top]
+        elif c == 0:
+            seen[label] = 1
+            stack.append(label)
+        else:
+            crossing = True
+        if i % 2:
+            a, b = _root(parent, first), _root(parent, label)
+            if a != b:
+                parent[b] = a
                 merges += 1
-    return find, merges
+        else:
+            first = label
+    valid = not crossing and all(c % 2 == 0 for c in seen.values())
+    return valid, len(seen) - merges, parent
+
+
+def _root(parent: dict, label):
+    while label in parent:
+        label = parent[label]
+    return label
 
 
 def count_adjacent_pairs(p: Partition, cyclic: bool = True) -> int:

@@ -8,16 +8,23 @@ into a small family of fully symmetric terminal partitions; the block count
 of the pair-collapsed partition is conserved on average, which yields exact
 absorption probabilities for the induced Markov chain.
 
-Symmetrizations are built directly in canonical form, and collapsed block
-counts are read off the union-find merges without building the collapsed
-partition.  A partition never changes, so once it is validated its
-collapsed count is stored on it, and so is the count of each cut's
-symmetrization: a martingale sweep over all 2m cuts builds, validates and
-counts each symmetrization once.  Absorption probabilities come from
-Gauss-Jordan elimination of the chain's equations, scaled by 2m to
-integers, on sparse rows over Python integers (each row kept divided by
-the gcd of its entries), so they are exact Fractions without Fraction
-arithmetic in the solve.
+The symmetry layer works on block-label lists (Partition._block_id).  The
+labels of a symmetrization come from those of p over the half ending at
+the cut, a block wholly inside that half taking a second label for its
+mirror copy (_mirror_labels); symmetrize builds the canonical partition
+from them in one pass.  One scan of a label list checks that every block
+is even and that no two blocks cross, and counts the blocks of the
+pair-collapsed partition with a union-find over the labels
+(partitions._label_scan).  A partition never changes, so once it is
+validated its collapsed count is stored on it, and so is the count of
+each cut's symmetrization: a martingale sweep over all 2m cuts scans each
+cut's mirror labels once and builds no symmetrization.  Each grid builds
+its terminal partitions once and keeps them.
+
+Absorption probabilities come from Gauss-Jordan elimination of the
+chain's equations, scaled by 2m to integers, on sparse rows over Python
+integers (each row kept divided by the gcd of its entries), so they are
+exact Fractions without Fraction arithmetic in the solve.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from .partitions import (
     full,
     interval_pairing,
     is_noncrossing,
-    _collapse_forest,
+    _label_scan,
     restrict,
     shifted_pairing,
 )
@@ -50,6 +57,9 @@ class GridShape:
     Interval k holds positions (k-1)d+1 .. kd; its positions are labelled
     1..d when k is odd and d..1 when k is even, so that each label class
     A_i has one element per interval (2m elements in total).
+
+    terminal_partitions stores the grid's terminals on it, outside the
+    dataclass fields, so equality, hashing and repr do not see them.
     """
 
     d: int
@@ -112,24 +122,32 @@ def symmetrize(p: Partition, k: int) -> Partition:
     """
     if p.n % 2 != 0:
         raise ValueError("ground size must be even, got %d" % p.n)
+    return Partition._from_labels(p.n, _mirror_labels(p, k))
+
+
+def _mirror_labels(p: Partition, k: int) -> list:
+    """Block labels of symmetrize(p, k) at positions 1..n (n even).
+
+    A position in the half ending at k keeps its block id in p.  Its mirror
+    image 2k+1-i takes the same label when the block also meets the other
+    half, which reconnects it through the mirror, and the label plus
+    p.num_blocks when the block lies wholly inside the half: its mirror copy.
+    Blocks of p inside the other half leave no label.
+    """
     n = p.n
     half = n // 2
-    k = cyclic_index(k, n)
-    blocks = []
-    for v in p.blocks:
-        # x lies in half_interval(k, n) iff it is k - j for some 0 <= j < half
-        kept = [x for x in v if (k - x) % n < half]
-        if not kept:
-            continue
-        mirror = [(2 * k - x) % n + 1 for x in kept]
-        if len(kept) == len(v):
-            blocks.append(tuple(kept))
-            blocks.append(tuple(sorted(mirror)))
-        else:
-            blocks.append(tuple(sorted(kept + mirror)))
-    # the kept parts tile the half and their mirrors tile the other half
-    blocks.sort()
-    return Partition._trusted(n, tuple(blocks))
+    # 0-based, the half is c-half .. c-1 and the other half c .. c+half-1,
+    # read from two laps of the block ids; c - j - 1 mirrors to c + j
+    c = k % n
+    if c < half:
+        c += n
+    ids = p._block_id * 2
+    kept = list(ids[c - half:c])
+    meets_other = set(ids[c:c + half])
+    nb = len(p.blocks)
+    labels = kept + [b if b in meets_other else b + nb for b in reversed(kept)]
+    start = n - (c - half) % n  # labels[0] is position c - half
+    return labels[start:] + labels[:start]
 
 
 @dataclass(frozen=True, order=True)
@@ -184,13 +202,19 @@ def _by_label(g: GridShape, pattern_of) -> Partition:
 
 
 def terminal_partitions(g: GridShape) -> Dict[TerminalKind, Partition]:
-    """The 2d+1 terminal partitions, keyed by kind."""
-    out = {}
-    for l in range(g.d + 1):
-        out[TerminalKind("level", l)] = level_terminal(g, l)
-    for l in range(1, g.d + 1):
-        out[TerminalKind("glued", l)] = glued_level_terminal(g, l)
-    return out
+    """The 2d+1 terminal partitions, keyed by kind, in a new dict per call.
+
+    They are built the first time they are asked for and then kept on g.
+    """
+    stored = g.__dict__.get("_terminals")
+    if stored is None:
+        stored = {}
+        for l in range(g.d + 1):
+            stored[TerminalKind("level", l)] = level_terminal(g, l)
+        for l in range(1, g.d + 1):
+            stored[TerminalKind("glued", l)] = glued_level_terminal(g, l)
+        object.__setattr__(g, "_terminals", stored)  # g is frozen
+    return dict(stored)
 
 
 def cascade_indices(g: GridShape) -> list:
@@ -241,24 +265,38 @@ def collapse_block_count(p: Partition) -> int:
     ValueError on every call and stores nothing.
     """
     if p._collapsed is None:
-        _require_even_nc(p)
-        p._collapsed = _collapsed_count(p)
+        p._collapsed = _checked_count(p.n, p._block_id)
     return p._collapsed
 
 
 def _collapsed_count(p: Partition) -> int:
-    """collapse_pairs(p).num_blocks, counted without building the partition."""
-    return p.n // 2 - _collapse_forest(p)[1]
+    """collapse_pairs(p).num_blocks, counted without building the partition
+    and without validating p."""
+    return _label_scan(p._block_id)[1]
+
+
+def _checked_count(n: int, labels) -> int:
+    """Collapsed block count of the partition with these block labels, which
+    must have even blocks and no crossing; otherwise the partition is built
+    and _require_even_nc raises, naming it."""
+    valid, count, _ = _label_scan(labels)
+    if not valid:
+        _require_even_nc(Partition._from_labels(n, labels))
+    return count
 
 
 def _cut_count(p: Partition, k: int) -> int:
-    """collapse_block_count(symmetrize(p, k)), stored on p by its cut in 1..n."""
+    """collapse_block_count(symmetrize(p, k)), stored on p by its cut in 1..n.
+
+    It scans the mirror labels: the symmetrization is built only to name
+    it in the error when it is invalid, and then nothing is stored.
+    """
     k = cyclic_index(k, p.n)
     if p._cut_counts is None:
         p._cut_counts = {}
     count = p._cut_counts.get(k)
     if count is None:
-        count = p._cut_counts[k] = collapse_block_count(symmetrize(p, k))
+        count = p._cut_counts[k] = _checked_count(p.n, _mirror_labels(p, k))
     return count
 
 
@@ -267,8 +305,8 @@ def check_collapse_martingale(p: Partition, k: int) -> Tuple[int, int]:
     opposite cut k+m; their mean must equal the count of p itself.
 
     Each cut's count is computed once per partition (see _cut_count), so
-    a sweep of k over all 2m cuts builds and validates each symmetrization
-    once; the invariant is asserted on every call.
+    a sweep of k over all 2m cuts validates and counts each symmetrization
+    once, from its mirror labels; the invariant is asserted on every call.
     """
     count = collapse_block_count(p)
     b_left = _cut_count(p, k)

@@ -23,7 +23,7 @@ from ncfree.matrices import (  # noqa: E402
     trace_sum_complex,
 )
 from ncfree.oracles import BRUTE_GROUND_CAP  # noqa: E402
-from ncfree.partitions import Partition, enumerate_nc  # noqa: E402
+from ncfree.partitions import Partition, cyclic_index, enumerate_nc  # noqa: E402
 
 
 def all_set_partitions(n):
@@ -242,3 +242,83 @@ def reference_brute_moment(spec, a, m: int) -> float:
     total = _weighted_sum(enumerate_nc(n), lambda p: kappa_pi(spec, p, word),
                           lambda p: trace_sum_complex(a, p))
     return total.real
+
+
+# ---------------------------------------------------------------------------
+# symmetrize and the collapse union-find as they were before the symmetry
+# layer worked on block-label lists, kept verbatim as the references for
+# symmetry.symmetrize, partitions.collapse_pairs and the label scan
+
+
+def reference_symmetrize(p: Partition, k: int) -> Partition:
+    """Symmetrize p around the cut after position k.
+
+    Blocks meeting the half ending at k are kept there; a block entirely
+    inside that half also spawns a detached mirror copy, while a block that
+    crossed the cut is reconnected through the mirror.  The result is always
+    invariant under the mirror and the map is idempotent at fixed k.
+    """
+    if p.n % 2 != 0:
+        raise ValueError("ground size must be even, got %d" % p.n)
+    n = p.n
+    half = n // 2
+    k = cyclic_index(k, n)
+    blocks = []
+    for v in p.blocks:
+        # x lies in half_interval(k, n) iff it is k - j for some 0 <= j < half
+        kept = [x for x in v if (k - x) % n < half]
+        if not kept:
+            continue
+        mirror = [(2 * k - x) % n + 1 for x in kept]
+        if len(kept) == len(v):
+            blocks.append(tuple(kept))
+            blocks.append(tuple(sorted(mirror)))
+        else:
+            blocks.append(tuple(sorted(kept + mirror)))
+    # the kept parts tile the half and their mirrors tile the other half
+    blocks.sort()
+    return Partition._trusted(n, tuple(blocks))
+
+
+def reference_collapse_pairs(p: Partition) -> Partition:
+    """Identify 2k-1 and 2k of {1..2m} to get a partition of {1..m}.
+
+    Two images k, l are related whenever any preimages are related in p,
+    closed transitively (union-find).
+    """
+    find, _ = _reference_collapse_forest(p)
+    m = p.n // 2
+    groups = {}
+    for k in range(1, m + 1):
+        groups.setdefault(find(k), []).append(k)
+    # groups open at their minimum and fill in ascending order: canonical
+    return Partition._trusted(m, tuple(tuple(g) for g in groups.values()))
+
+
+def reference_collapsed_count(p: Partition) -> int:
+    """collapse_pairs(p).num_blocks, counted without building the partition."""
+    return p.n // 2 - _reference_collapse_forest(p)[1]
+
+
+def _reference_collapse_forest(p: Partition) -> tuple:
+    """Union-find of collapse_pairs: its find function and number of merges,
+    so that collapse_pairs(p) has m minus that many blocks."""
+    if p.n % 2 != 0:
+        raise ValueError("ground size must be even, got %d" % p.n)
+    parent = list(range(p.n // 2 + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    merges = 0
+    for b in p.blocks:
+        root = find((b[0] + 1) // 2)
+        for x in b[1:]:
+            r = find((x + 1) // 2)
+            if r != root:
+                parent[r] = root
+                merges += 1
+    return find, merges

@@ -1,0 +1,52 @@
+"""The summary of tools/bench_pairs.py on hand-made runs."""
+
+import argparse
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def _run(side, pair, wall, failed=0):
+    metrics = {"wall_s": {"value": wall, "unit": "s"},
+               "setup_s": {"value": 0.25, "unit": "s"},
+               "peak_rss_mb": {"value": 35.5, "unit": "MB"}}
+    return {"workload": "exact", "pair": pair, "side": side,
+            "result": {"correct": failed == 0, "attempted": 100, "failed": failed,
+                       "metrics": metrics}}
+
+
+def test_summary_counts_pairs_medians_and_wins():
+    parent = [0.8, 0.6, 0.7, 0.9]
+    change = [0.5, 0.65, 0.4, 0.45]
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent, change)):
+        runs += [_run("parent", pair, p), _run("change", pair, c)]
+    out = bench_pairs.summarize(runs)
+    assert out["pairs"] == 4 and out["correct"]
+    assert out["failed"] == {"parent": 0, "change": 0}
+    assert out["attempted"] == {"parent": 400, "change": 400}
+    wall = out["wall_s"]
+    assert wall["parent_median"] == 0.75 and wall["change_median"] == 0.475
+    assert wall["relative"] == round(0.475 / 0.75 - 1, 4)
+    assert wall["parent_iqr"] == 0.25  # exclusive quartiles 0.625 and 0.875
+    assert wall["change_better_pairs"] == 3
+    assert out["setup_s"]["change_better_pairs"] == 0
+
+
+def test_summary_reports_failures():
+    out = bench_pairs.summarize([_run("parent", 0, 0.5), _run("change", 0, 0.4, failed=2)])
+    assert out["failed"] == {"parent": 0, "change": 2} and not out["correct"]
+    assert out["wall_s"]["parent_iqr"] == 0.0
+
+
+def test_plan_parsing():
+    assert bench_pairs.parse_plan(["exact=6", "holo=2"]) == [("exact", 6), ("holo", 2)]
+    for bad in ("exact", "exact=0", "=3", "exact=x"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            bench_pairs.parse_plan([bad])
