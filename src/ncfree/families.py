@@ -28,13 +28,14 @@ from .partitions import (
     Partition,
     enumerate_nc,
     enumerate_nc_constrained,
+    _label_scan,
     format_partition,
     is_noncrossing,
     is_refinement,
     collapse_pairs,
     restrict,
 )
-from .symmetry import GridShape
+from .symmetry import GridShape, _require_on_grid
 
 STAR_ENUMERATION_CAP = 24
 INTERVAL_ENUMERATION_CAP = 20
@@ -53,48 +54,31 @@ def fuss_catalan(d: int, m: int) -> int:
 # membership tests
 
 
-def _even_noncrossing(p: Partition, g: GridShape) -> bool:
-    """The condition every family shares: even blocks and no crossing.
-    Raises ValueError when p is not on the grid's ground set."""
-    if p.n != g.n:
-        raise ValueError("partition on [%d] does not match grid on [%d]" % (p.n, g.n))
-    return all(len(b) % 2 == 0 for b in p.blocks) and is_noncrossing(p)
+def _member(p: Partition, g: GridShape, block_ok) -> bool:
+    """The test every family shares: even blocks, no crossing (one
+    _label_scan of p's block labels) and block_ok on every block.  Raises
+    ValueError when p is not on the grid's ground set."""
+    _require_on_grid(p, g)
+    return _label_scan(p._block_id)[0] and all(map(block_ok, p.blocks))
 
 
 def is_ncstar(p: Partition, g: GridShape) -> bool:
     """Even-block non-crossing partitions whose consecutive block elements sit
     in intervals of opposite parity."""
-    if not _even_noncrossing(p, g):
-        return False
-    for b in p.blocks:
-        for x, y in zip(b, b[1:]):
-            if g.interval_of(x) % 2 == g.interval_of(y) % 2:
-                return False
-    return True
+    return _member(p, g, lambda b: all(
+        (g.interval_of(x) - g.interval_of(y)) % 2 for x, y in zip(b, b[1:])))
 
 
 def is_ncstar_by_labels(p: Partition, g: GridShape) -> bool:
     """Equivalent characterization: even blocks, non-crossing, finer than the
     label classes."""
-    if not _even_noncrossing(p, g):
-        return False
-    for b in p.blocks:
-        labels = {g.label_of(x) for x in b}
-        if len(labels) > 1:
-            return False
-    return True
+    return _member(p, g, lambda b: len({g.label_of(x) for x in b}) == 1)
 
 
 def is_interval_avoiding(p: Partition, g: GridShape) -> bool:
     """Even-block non-crossing partitions never linking a size-d interval to
     itself."""
-    if not _even_noncrossing(p, g):
-        return False
-    for b in p.blocks:
-        intervals = [g.interval_of(x) for x in b]
-        if len(set(intervals)) < len(intervals):
-            return False
-    return True
+    return _member(p, g, lambda b: len({g.interval_of(x) for x in b}) == len(b))
 
 
 def is_pairing(p: Partition) -> bool:

@@ -18,6 +18,12 @@ The recursion runs in one generator on an explicit stack, one level per
 open segment.  Within a call, each segment's choices of (block, gaps) are
 built once and reused whenever that segment comes up again, so the
 predicates must be pure functions of their arguments.
+
+_label_scan is the package's only non-crossing scan: one pass over a list
+of block labels that checks even blocks and no crossing and counts the
+blocks of the pair-collapsed partition.  is_noncrossing, collapse_pairs,
+the family membership tests of ncfree.families and the checks of
+ncfree.symmetry all read it.
 """
 
 from __future__ import annotations
@@ -192,26 +198,10 @@ def shifted_pairing(m: int) -> Partition:
 def is_noncrossing(p: Partition) -> bool:
     """No quadruple i<j<k<l with i~k and j~l in different blocks.
 
-    Linear and cyclic order give the same notion, so a linear left-to-right
-    scan with a stack of open blocks suffices.
+    The verdict of _label_scan on the label list with every position
+    repeated: that makes every block even and keeps every crossing.
     """
-    last = [b[-1] for b in p.blocks]
-    on_stack = [False] * p.num_blocks
-    stack = []
-    for i in range(1, p.n + 1):
-        b = p._block_id[i - 1]
-        if on_stack[b]:
-            if stack[-1] != b:
-                return False
-            if i == last[b]:
-                stack.pop()
-                on_stack[b] = False
-        else:
-            if i == last[b]:
-                continue  # singleton block
-            stack.append(b)
-            on_stack[b] = True
-    return True
+    return _label_scan([b for b in p._block_id for _ in (0, 1)])[0]
 
 
 def enumerate_nc(n: int) -> Iterator[Partition]:
@@ -332,6 +322,12 @@ def _label_scan(labels) -> tuple:
     Crossings are found with a stack of open blocks: a label seen again
     closes every block opened after its last appearance, and a closed label
     that comes back crosses the block that closed it.
+
+    This is the package's only non-crossing scan.  is_noncrossing reads
+    valid on a doubled label list; collapse_pairs reads parent; the
+    membership tests of ncfree.families read valid; ncfree.symmetry reads
+    valid and count (_checked_count, _collapsed_count) and, through
+    is_noncrossing, _require_even_nc.
     """
     seen = {}  # label -> appearances so far, negated once its block is closed
     stack = []

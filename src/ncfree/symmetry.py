@@ -101,9 +101,8 @@ def apply_symmetry(p: Partition, k: int) -> Partition:
     """Relabel p by the mirror i -> 2k+1-i of {1..2N}."""
     if p.n % 2 != 0:
         raise ValueError("ground size must be even, got %d" % p.n)
-    n = p.n
-    blocks = [tuple(cyclic_index(2 * k + 1 - i, n) for i in b) for b in p.blocks]
-    return Partition(n, blocks)
+    ids, n = p._block_id, p.n
+    return Partition._from_labels(n, [ids[(2 * k - i) % n] for i in range(1, n + 1)])
 
 
 def half_interval(k: int, n: int) -> frozenset:
@@ -234,8 +233,7 @@ def cascade_indices(g: GridShape) -> list:
 
 def symmetrize_terminal(p: Partition, g: GridShape) -> Tuple[TerminalKind, Partition]:
     """Run the symmetrization cascade and classify the resulting fixed point."""
-    if p.n != g.n:
-        raise ValueError("partition on [%d] does not match grid on [%d]" % (p.n, g.n))
+    _require_on_grid(p, g)
     q = p
     for k in cascade_indices(g):
         q = symmetrize(q, k)
@@ -249,6 +247,11 @@ def symmetrize_terminal(p: Partition, g: GridShape) -> Tuple[TerminalKind, Parti
         "cascade did not reach a terminal from %s (got %s)"
         % (format_partition(p), format_partition(q))
     )
+
+
+def _require_on_grid(p: Partition, g: GridShape) -> None:
+    if p.n != g.n:
+        raise ValueError("partition on [%d] does not match grid on [%d]" % (p.n, g.n))
 
 
 def _require_even_nc(p: Partition) -> None:
@@ -322,6 +325,7 @@ def collapse_count_profile(p: Partition, g: GridShape) -> tuple:
     """Collapsed block counts of the label-class restrictions, padded with
     the boundary conventions: index l runs 0..d+1 with the ends pinned to
     1 and m."""
+    _require_on_grid(p, g)
     inner = [collapse_block_count(restrict(p, g.label_class(i))) for i in range(1, g.d + 1)]
     return tuple([1] + inner + [g.m])
 
@@ -347,6 +351,7 @@ def absorption_probabilities(p: Partition, g: GridShape) -> Dict[TerminalKind, F
     integers, so every probability is a Fraction.  Raises ValueError when
     some reachable state cannot reach a terminal: the system is singular.
     """
+    _require_on_grid(p, g)
     terminals = terminal_partitions(g)
     terminal_lookup = {part: kind for kind, part in terminals.items()}
     kinds = sorted(terminals)

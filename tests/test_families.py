@@ -3,6 +3,8 @@ from itertools import combinations
 
 import pytest
 
+from conftest import all_set_partitions, crossing_quadruple
+
 from ncfree.partitions import (
     discrete,
     enumerate_nc,
@@ -347,3 +349,27 @@ def test_interval_avoiding_matches_filter_for_every_split():
 def test_family_caps_raise_when_called(enumerator, d, m):
     with pytest.raises(ValueError, match="exceeds cap"):
         enumerator(GridShape(d, m))
+
+
+@pytest.mark.parametrize("d,m", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1), (4, 1)])
+def test_membership_matches_brute_definitions_on_every_set_partition(d, m):
+    # crossing and odd-block inputs included, against the definitions:
+    # even blocks, no crossing quadruple, and each family's block condition
+    g = GridShape(d, m)
+
+    def interval(x):
+        return (x - 1) // d
+
+    conditions = {
+        is_ncstar: lambda b: all((interval(x) + interval(y)) % 2 == 1
+                                 for x, y in zip(b, b[1:])),
+        is_ncstar_by_labels: lambda b: any(set(b) <= set(g.label_class(i))
+                                           for i in range(1, d + 1)),
+        is_interval_avoiding: lambda b: all(interval(x) != interval(y)
+                                            for x, y in combinations(b, 2)),
+    }
+    for p in all_set_partitions(g.n):
+        even_nc = all(len(b) % 2 == 0 for b in p.blocks) and crossing_quadruple(p) is None
+        for member, block_ok in conditions.items():
+            expected = even_nc and all(block_ok(b) for b in p.blocks)
+            assert member(p, g) is expected, (member.__name__, str(p))

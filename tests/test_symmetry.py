@@ -470,3 +470,12 @@ def test_stored_counts_leave_equality_and_hashing_alone():
     assert {fresh: "value"}[p] == "value" and {p: "value"}[fresh] == "value"
     assert len({p, fresh}) == 1
     assert p != parse_partition("1,2|3,4,5,6|7,8", 8)
+
+
+@pytest.mark.parametrize("function", [
+    collapse_count_profile, level_exponents, absorption_probabilities])
+def test_symmetry_functions_reject_a_partition_off_the_grid(function):
+    p = parse_partition("1,2|3,4|5,6|7,8", 8)
+    with pytest.raises(ValueError, match=re.escape(
+            "partition on [8] does not match grid on [4]")):
+        function(p, GridShape(1, 2))
