@@ -72,13 +72,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _worst(values) -> float:
+    """The largest of 0.0 and values, or NaN if any value is NaN (max drops a NaN)."""
+    values = [0.0, *values]
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 class Report:
     """Accumulates one row per check; a row fails when residual > tolerance."""
 
     def __init__(self):
         self.rows = []
 
-    def add(self, experiment: str, params: str, value, bound, residual, tolerance) -> None:
+    def _add(self, experiment: str, params: str, value, bound, residual, tolerance) -> None:
         passed = residual <= tolerance
         self.rows.append({
             "experiment": experiment,
@@ -90,10 +96,28 @@ class Report:
         })
 
     def exact(self, experiment: str, params: str, value, expected) -> None:
-        self.add(experiment, params, value, expected, 0 if value == expected else 1, 0)
+        self._add(experiment, params, value, expected, 0 if value == expected else 1, 0)
 
     def check(self, experiment: str, params: str, ok: bool, value="", bound="") -> None:
-        self.add(experiment, params, value, bound, 0 if ok else 1, 0)
+        self._add(experiment, params, value, bound, 0 if ok else 1, 0)
+
+    def inequality(self, experiment: str, params: str, sides, slack=0.0) -> None:
+        """lhs <= rhs (1 + 1e-9) + slack for every (lhs, rhs) in sides.
+
+        The value is the worst margin lhs - rhs (1 + 1e-9) - slack, from 0.0.
+        """
+        worst = _worst(lhs - rhs * (1 + 1e-9) - slack for lhs, rhs in sides)
+        self.check(experiment, params, worst <= 0.0, value=worst, bound=0.0)
+
+    def within(self, experiment: str, params: str, residuals, tolerance) -> None:
+        """Every residual at most tolerance; value and residual are the worst, from 0.0."""
+        worst = _worst(residuals)
+        self._add(experiment, params, worst, tolerance, worst, tolerance)
+
+    def close(self, experiment: str, params: str, value, expected, tolerance) -> None:
+        """|value - expected| / max(1, |expected|) at most tolerance."""
+        residual = abs(value - expected) / max(1.0, abs(expected))
+        self._add(experiment, params, value, expected, residual, tolerance)
 
     @property
     def all_passed(self) -> bool:
@@ -203,20 +227,18 @@ def _random_families(args, d):
 def suite_identifications(args) -> Report:
     rep = Report()
     for d, m, g in _cells(args):
-        worst_eq = 0.0
-        worst_ineq = 0.0
-        for fam in _random_families(args, d):
-            for l in range(d + 1):
-                lhs = trace_sum(fam, level_terminal(g, l))
-                rhs = schatten_pow(build_Ml(fam, l), m)
-                worst_eq = max(worst_eq, abs(lhs - rhs) / max(1.0, abs(rhs)))
-            for l in range(1, d + 1):
-                lhs = trace_sum(fam, glued_level_terminal(g, l))
-                rhs = schatten_pow(build_Ml(fam, l), m)
-                worst_ineq = max(worst_ineq, (lhs - rhs) / max(1.0, abs(rhs)))
-        rep.add("identify-equality", "d=%d,m=%d" % (d, m), worst_eq, 1e-9, worst_eq, 1e-9)
-        rep.add("identify-inequality", "d=%d,m=%d" % (d, m), worst_ineq, 1e-9,
-                max(worst_ineq, 0.0), 1e-9)
+        fams = _random_families(args, d)
+
+        def gaps(terminal, levels):
+            """(trace sum over the terminal - ||M_l||^2m) / max(1, ||M_l||^2m)."""
+            for fam in fams:
+                for l in levels:
+                    rhs = schatten_pow(build_Ml(fam, l), m)
+                    yield (trace_sum(fam, terminal(g, l)) - rhs) / max(1.0, abs(rhs))
+        rep.within("identify-equality", "d=%d,m=%d" % (d, m),
+                   map(abs, gaps(level_terminal, range(d + 1))), 1e-9)
+        rep.within("identify-inequality", "d=%d,m=%d" % (d, m),
+                   gaps(glued_level_terminal, range(1, d + 1)), 1e-9)
     return rep
 
 
@@ -225,30 +247,28 @@ def suite_cauchy_schwarz(args) -> Report:
     for d, m, g in _cells(args):
         members = list(enumerate_ncstar(g))
         fams = _random_families(args, d)
-        worst = 0.0
-        for fam in fams:
-            for p in members:
-                lhs = abs(trace_sum_complex(fam, p))
-                for i in range(1, 2 * m + 1):
-                    left = trace_sum(fam, symmetrize(p, d * i))
-                    right = trace_sum(fam, symmetrize(p, (m + i) * d))
-                    rhs = math.sqrt(max(left, 0.0) * max(right, 0.0))
-                    worst = max(worst, lhs - rhs * (1 + 1e-9) - 1e-9)
-        rep.check("cauchy-schwarz", "d=%d,m=%d,members=%d" % (d, m, len(members)),
-                  worst <= 0.0, value=worst, bound=0.0)
-        if m >= 2:
-            worst = 0.0
+
+        def cuts():
+            """|Tr(p)| against sqrt(Tr(sym_di p) Tr(sym_(m+i)d p)) at every cut i."""
             for fam in fams:
-                norms = [schatten_norm(build_Ml(fam, l), m) for l in range(d + 1)]
                 for p in members:
-                    mus = level_exponents(p, g)
-                    bound = 1.0
-                    for norm, mu in zip(norms, mus):
-                        bound *= norm ** (2 * m * float(mu))
                     lhs = abs(trace_sum_complex(fam, p))
-                    worst = max(worst, lhs - bound * (1 + 1e-9) - 1e-9)
-            rep.check("exponent-bound", "d=%d,m=%d" % (d, m), worst <= 0.0,
-                      value=worst, bound=0.0)
+                    for i in range(1, 2 * m + 1):
+                        left = trace_sum(fam, symmetrize(p, d * i))
+                        right = trace_sum(fam, symmetrize(p, (m + i) * d))
+                        yield lhs, math.sqrt(max(left, 0.0) * max(right, 0.0))
+        rep.inequality("cauchy-schwarz", "d=%d,m=%d,members=%d" % (d, m, len(members)),
+                       cuts(), slack=1e-9)
+        if m >= 2:
+            def exponents():
+                """|Tr(p)| against prod_l ||M_l||_2m^(2m mu_l(p))."""
+                for fam in fams:
+                    norms = [schatten_norm(build_Ml(fam, l), m) for l in range(d + 1)]
+                    for p in members:
+                        yield abs(trace_sum_complex(fam, p)), math.prod(
+                            norm ** (2 * m * float(mu))
+                            for norm, mu in zip(norms, level_exponents(p, g)))
+            rep.inequality("exponent-bound", "d=%d,m=%d" % (d, m), exponents(), slack=1e-9)
         bad = 0
         for p in members:
             probs = absorption_probabilities(p, g)
@@ -269,38 +289,23 @@ def suite_main_inequality(args) -> Report:
     specs = [CumulantSpec.circular(), CumulantSpec.haar_unitary()]
     for d, m, _ in _cells(args):
         for spec in specs:
-            worst = 0.0
-            for fam in _random_families(args, d):
-                lhs = holo_norm_2m(fam, spec, m)
-                rhs = holo_rhs_bound(fam, spec, m)
-                worst = max(worst, lhs - rhs * (1 + 1e-9))
-            rep.check("main-inequality-%s" % spec.kind, "d=%d,m=%d" % (d, m),
-                      worst <= 0.0, value=worst, bound=0.0)
+            rep.inequality("main-inequality-%s" % spec.kind, "d=%d,m=%d" % (d, m),
+                           ((holo_norm_2m(fam, spec, m), holo_rhs_bound(fam, spec, m))
+                            for fam in _random_families(args, d)))
     return rep
 
 
 def suite_nonholo(args) -> Report:
     rep = Report()
-    semi = CumulantSpec.semicircular()
-    circ = CumulantSpec.circular()
+    kinds = [("selfadjoint", random_adjacent_distinct_family, CumulantSpec.semicircular()),
+             ("rdiag", random_star_family, CumulantSpec.circular())]
     rng = np.random.default_rng(args.seed)
     for d, m, _ in _cells(args):
-        worst = 0.0
-        for _ in range(args.trials):
-            fam = random_adjacent_distinct_family(d, args.r, args.alpha, rng)
-            lhs = nonholo_norm_2m(fam, semi, m)
-            rhs = nonholo_rhs_bound(fam, semi, m)
-            worst = max(worst, lhs - rhs * (1 + 1e-9))
-        rep.check("nonholo-selfadjoint", "d=%d,m=%d" % (d, m), worst <= 0.0,
-                  value=worst, bound=0.0)
-        worst = 0.0
-        for _ in range(args.trials):
-            fam = random_star_family(d, args.r, args.alpha, rng)
-            lhs = nonholo_norm_2m(fam, circ, m)
-            rhs = nonholo_rhs_bound(fam, circ, m)
-            worst = max(worst, lhs - rhs * (1 + 1e-9))
-        rep.check("nonholo-rdiag", "d=%d,m=%d" % (d, m), worst <= 0.0,
-                  value=worst, bound=0.0)
+        for name, draw, spec in kinds:
+            fams = [draw(d, args.r, args.alpha, rng) for _ in range(args.trials)]
+            rep.inequality("nonholo-%s" % name, "d=%d,m=%d" % (d, m),
+                           ((nonholo_norm_2m(fam, spec, m), nonholo_rhs_bound(fam, spec, m))
+                            for fam in fams))
     return rep
 
 
@@ -314,8 +319,8 @@ def suite_prime(args) -> Report:
         gram = build_Ml(fam, l).matrix
         gram = gram @ gram.conj().T
         expected = prime_family_gram(p, d, l)
-        residual = float(np.max(np.abs(gram - expected)))
-        rep.add("prime-gram", "p=%d,d=%d,l=%d" % (p, d, l), residual, 1e-10, residual, 1e-10)
+        rep.within("prime-gram", "p=%d,d=%d,l=%d" % (p, d, l),
+                   [float(np.max(np.abs(gram - expected)))], 1e-10)
         sigma_max = operator_norm(build_Ml(fam, l))
         bound = (d - 1) * p ** (d - 1)
         rep.check("prime-norm-bound", "p=%d,d=%d,l=%d" % (p, d, l),
@@ -330,19 +335,15 @@ def suite_oracles(args) -> Report:
     haar = CumulantSpec.haar_unitary()
     for d, m, _ in _cells(args):
         fam = random_family(d, 2, min(args.alpha, 2), rng)
-        lhs = matrices.holo_moment(fam, circ, m)
-        rhs = oracles.fock_moment(fam, "circular", m)
-        residual = abs(lhs - rhs) / max(1.0, abs(rhs))
-        rep.add("oracle-fock", "d=%d,m=%d" % (d, m), lhs, rhs, residual, 1e-8)
+        rep.close("oracle-fock", "d=%d,m=%d" % (d, m), matrices.holo_moment(fam, circ, m),
+                  oracles.fock_moment(fam, "circular", m), 1e-8)
         fam = random_family(d, args.r, args.alpha, rng)
         lhs = matrices.holo_moment(fam, haar, m)
-        rhs = oracles.free_group_moment(fam, m)
-        residual = abs(lhs - rhs) / max(1.0, abs(rhs))
-        rep.add("oracle-free-group", "d=%d,m=%d" % (d, m), lhs, rhs, residual, 1e-9)
+        rep.close("oracle-free-group", "d=%d,m=%d" % (d, m), lhs,
+                  oracles.free_group_moment(fam, m), 1e-9)
         if 2 * d * m <= oracles.BRUTE_GROUND_CAP:
-            rhs = oracles.brute_moment(haar, fam, m)
-            residual = abs(lhs - rhs) / max(1.0, abs(rhs))
-            rep.add("oracle-brute", "d=%d,m=%d" % (d, m), lhs, rhs, residual, 1e-9)
+            rep.close("oracle-brute", "d=%d,m=%d" % (d, m), lhs,
+                      oracles.brute_moment(haar, fam, m), 1e-9)
     return rep
 
 

@@ -538,3 +538,115 @@ def test_verify_negative_seed_exits_2_before_the_suite_runs(monkeypatch, capsys)
     code, out, err = run(capsys, "verify", "--suite", "main-inequality", "--seed", "-1")
     assert code == 2 and out == "" and calls == []
     assert err == "verify: --seed must be a non-negative integer\n"
+
+
+def _verify_rows(capsys, *argv):
+    """(exit code, {experiment: [rows]}) of one verify run."""
+    import csv
+    import io
+
+    code, out, err = run(capsys, "verify", *argv)
+    rows = {}
+    for row in csv.DictReader(io.StringIO(out)):
+        rows.setdefault(row["experiment"], []).append(row)
+    return code, rows
+
+
+@pytest.mark.parametrize("name,suite,affected", [
+    ("holo_rhs_bound", "main-inequality", ["main-inequality-circular", "main-inequality-haar"]),
+    ("nonholo_rhs_bound", "nonholo", ["nonholo-rdiag", "nonholo-selfadjoint"]),
+    ("trace_sum", "identifications", ["identify-equality", "identify-inequality"]),
+    ("trace_sum", "cauchy-schwarz", ["cauchy-schwarz"]),
+    ("schatten_pow", "identifications", ["identify-equality", "identify-inequality"]),
+], ids=["holo-bound", "nonholo-bound", "trace-sum-identify", "trace-sum-cuts", "schatten-pow"])
+def test_a_nan_margin_or_residual_fails_its_row(monkeypatch, capsys, name, suite, affected):
+    # max(0.0, nan) is 0.0, so a NaN used to vanish into a passing row
+    from ncfree import cli
+
+    monkeypatch.setattr(cli, name, lambda *args: math.nan)
+    code, rows = _verify_rows(capsys, "--suite", suite, "--trials", "2")
+    assert code == 1
+    for experiment in affected:
+        assert len(rows[experiment]) == 4, experiment
+        for row in rows[experiment]:
+            assert row["passed"] == "0" and row["value"] == "nan", row
+
+
+def test_failing_inequality_rows_keep_the_worst_lhs(monkeypatch, capsys):
+    from ncfree import cli
+    from ncfree.cumulants import CumulantSpec
+    from ncfree.matrices import (
+        holo_norm_2m, nonholo_norm_2m, random_adjacent_distinct_family)
+
+    monkeypatch.setattr(cli, "holo_rhs_bound", lambda *args: 0.0)
+    monkeypatch.setattr(cli, "nonholo_rhs_bound", lambda *args: 0.0)
+    cells = [(d, m) for d in (1, 2) for m in (1, 2)]
+
+    code, rows = _verify_rows(capsys, "--suite", "main-inequality", "--trials", "2")
+    assert code == 1
+    for spec in (CumulantSpec.circular(), CumulantSpec.haar_unitary()):
+        got = rows["main-inequality-%s" % spec.kind]
+        assert [row["params"] for row in got] == ["d=%d,m=%d" % cell for cell in cells]
+        for (d, m), row in zip(cells, got):
+            rng = np.random.default_rng(0)
+            fams = [random_family(d, 2, 2, rng) for _ in range(2)]
+            assert row["passed"] == "0"
+            assert float(row["value"]) == max(holo_norm_2m(f, spec, m) for f in fams) > 0
+
+    code, rows = _verify_rows(capsys, "--suite", "nonholo", "--trials", "2")
+    assert code == 1
+    kinds = [("selfadjoint", random_adjacent_distinct_family, CumulantSpec.semicircular()),
+             ("rdiag", random_star_family, CumulantSpec.circular())]
+    rng = np.random.default_rng(0)  # one generator, each kind drawing in turn per cell
+    for i, (d, m) in enumerate(cells):
+        for name, draw, spec in kinds:
+            fams = [draw(d, 2, 2, rng) for _ in range(2)]
+            row = rows["nonholo-%s" % name][i]
+            assert row["params"] == "d=%d,m=%d" % (d, m) and row["passed"] == "0"
+            assert float(row["value"]) == max(nonholo_norm_2m(f, spec, m) for f in fams) > 0
+
+
+def test_failing_cauchy_schwarz_rows_contract_each_member_once(monkeypatch, capsys):
+    from ncfree import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "trace_sum_complex", lambda fam, p: calls.append(p) or 1e6)
+    code, rows = _verify_rows(capsys, "--suite", "cauchy-schwarz", "--trials", "2")
+    assert code == 1
+    # one lhs per (family, member): 2 families x (1 + 3 + 1 + 5) star members for the
+    # cuts, and again for the exponent bound at m = 2 (3 + 5 members)
+    assert len(calls) == 36
+    assert len(rows["cauchy-schwarz"]) == 4 and len(rows["exponent-bound"]) == 2
+    for row in rows["cauchy-schwarz"] + rows["exponent-bound"]:
+        assert row["passed"] == "0" and float(row["value"]) > 0, row
+    assert all(row["passed"] == "1" for row in rows["absorption-identity"])
+
+
+def test_report_numeric_row_methods():
+    from ncfree.cli import Report
+
+    rep = Report()
+    rep.inequality("empty", "", [])
+    rep.inequality("no-slack", "", [(2.0, 1.0), (0.5, 1.0)])
+    rep.inequality("slack", "", [(2.0, 1.0)], slack=0.5)
+    rep.inequality("slack-absorbs", "", [(2.0, 1.0)], slack=1.5)
+    rep.within("below-zero", "", [-3.0, -1.0], 1e-9)
+    rep.within("worst", "", [1e-12, 5e-10, 2e-11], 1e-9)
+    rep.close("absolute", "", 0.75, 0.5, 1e-9)
+    rep.close("relative", "", 30.0, 20.0, 1e-9)
+    rows = {row["experiment"]: row for row in rep.rows}
+    cells = {name: (row["value"], row["bound"], row["passed"], row["residual"])
+             for name, row in rows.items()}
+    assert cells["empty"] == ("0", "0", "1", "0")
+    assert float(rows["no-slack"]["value"]) == 2.0 - 1.0 * (1 + 1e-9)
+    assert float(rows["slack"]["value"]) == 2.0 - 1.0 * (1 + 1e-9) - 0.5
+    assert rows["slack"]["passed"] == rows["no-slack"]["passed"] == "0"
+    assert cells["slack-absorbs"] == ("0", "0", "1", "0")
+    assert cells["below-zero"][0] == cells["below-zero"][3] == "0"
+    assert cells["below-zero"][2] == "1"
+    assert float(rows["worst"]["value"]) == float(rows["worst"]["residual"]) == 5e-10
+    assert rows["worst"]["passed"] == "1"
+    # |0.75 - 0.5| / max(1, 0.5) = 0.25; |30 - 20| / max(1, 20) = 0.5
+    assert cells["absolute"][:2] == ("0.75", "0.5") and float(cells["absolute"][3]) == 0.25
+    assert cells["relative"][:2] == ("30", "20") and float(cells["relative"][3]) == 0.5
+    assert rows["absolute"]["passed"] == rows["relative"]["passed"] == "0"
