@@ -228,12 +228,15 @@ def suite_identifications(args) -> Report:
     rep = Report()
     for d, m, g in _cells(args):
         fams = _random_families(args, d)
+        pows = {}  # (family index, l) -> ||M_l||^2m, shared by both rows
 
         def gaps(terminal, levels):
             """(trace sum over the terminal - ||M_l||^2m) / max(1, ||M_l||^2m)."""
-            for fam in fams:
+            for i, fam in enumerate(fams):
                 for l in levels:
-                    rhs = schatten_pow(build_Ml(fam, l), m)
+                    if (i, l) not in pows:
+                        pows[i, l] = schatten_pow(build_Ml(fam, l), m)
+                    rhs = pows[i, l]
                     yield (trace_sum(fam, terminal(g, l)) - rhs) / max(1.0, abs(rhs))
         rep.within("identify-equality", "d=%d,m=%d" % (d, m),
                    map(abs, gaps(level_terminal, range(d + 1))), 1e-9)

@@ -20,7 +20,7 @@ built once and reused whenever that segment comes up again, so the
 predicates must be pure functions of their arguments.
 
 _label_scan is the package's only non-crossing scan: one pass over a list
-of block labels that checks even blocks and no crossing and counts the
+of integer block labels that checks even blocks and no crossing and counts the
 blocks of the pair-collapsed partition.  is_noncrossing, collapse_pairs,
 the family membership tests of ncfree.families and the checks of
 ncfree.symmetry all read it.
@@ -93,10 +93,11 @@ class Partition:
         self._cut_counts = None
 
     @classmethod
-    def _trusted(cls, n: int, blocks: tuple) -> "Partition":
-        """Build from already-canonical blocks, skipping validation."""
+    def _trusted(cls, n: int, blocks: tuple, block_id: tuple = None) -> "Partition":
+        """Build from already-canonical blocks, and their block ids when the
+        caller has them, skipping validation."""
         p = object.__new__(cls)
-        p._fill(n, blocks)
+        p._fill(n, blocks, block_id)
         return p
 
     @classmethod
@@ -201,7 +202,9 @@ def is_noncrossing(p: Partition) -> bool:
     The verdict of _label_scan on the label list with every position
     repeated: that makes every block even and keeps every crossing.
     """
-    return _label_scan([b for b in p._block_id for _ in (0, 1)])[0]
+    labels = [0] * (2 * p.n)
+    labels[::2] = labels[1::2] = p._block_id
+    return _label_scan(labels)[0]
 
 
 def enumerate_nc(n: int) -> Iterator[Partition]:
@@ -235,15 +238,24 @@ def enumerate_nc_constrained(n: int, extend_ok, complete_ok) -> Iterator[Partiti
     reused every time it comes up again; so the predicates must be pure
     functions of (block, cand) and of (block).  The whole ground set is a
     segment only at the top, and its choices are not stored.
+
+    A block chosen at stack depth j is block j of every member below it, so
+    its positions are written j in one list of block ids as it is chosen;
+    each member's ids are then a copy of that list, with no pass over its
+    blocks.
     """
     table = {}
+    bid = [0] * n
     stack = [(_segment_choices(1, n, extend_ok, complete_ok), (), ())]
     while stack:
         choices, later, acc = stack[-1]
+        j = len(acc)
         for block, gaps in choices:
+            for x in block:
+                bid[x - 1] = j
             segments = gaps + later
             if not segments:
-                yield Partition._trusted(n, acc + (block,))
+                yield Partition._trusted(n, acc + (block,), tuple(bid))
                 continue
             segment = segments[0]
             inner = table.get(segment)
@@ -309,33 +321,40 @@ def collapse_pairs(p: Partition) -> Partition:
 
 
 def _label_scan(labels) -> tuple:
-    """One pass over the block labels of positions 1..n (any hashable values).
+    """One pass over the block labels of positions 1..n, non-negative ints.
 
     Returns (valid, count, parent).  valid holds iff every block has an even
     number of positions and no two blocks cross.  count is the block count
     of collapse_pairs of the labelled partition, whatever valid says, and
-    parent is the union-find forest behind it: the blocks of collapse_pairs
-    are the classes of labels joined through the pairs 2j-1, 2j, so count is
-    the number of labels minus the merges, and the block of pair j is
-    _root(parent, label of 2j).
+    parent is the union-find forest behind it, a list indexed by label
+    (a root is its own parent): the blocks of collapse_pairs are the classes
+    of labels joined through the pairs 2j-1, 2j, so count is the number of
+    labels minus the merges, and the block of pair j is
+    _root(parent, label of 2j).  Labels need not be consecutive: the lists
+    run up to the largest label, and a label that never appears is neither
+    counted nor joined.
 
     Crossings are found with a stack of open blocks: a label seen again
     closes every block opened after its last appearance, and a closed label
     that comes back crosses the block that closed it.
 
-    This is the package's only non-crossing scan.  is_noncrossing reads
-    valid on a doubled label list; collapse_pairs reads parent; the
-    membership tests of ncfree.families read valid; ncfree.symmetry reads
-    valid and count (_checked_count, _collapsed_count) and, through
-    is_noncrossing, _require_even_nc.
+    This is the package's only non-crossing scan, and every caller passes
+    block ids or, for a symmetrization, block ids and their mirror copies
+    (id plus block count).  is_noncrossing reads valid on a doubled label
+    list; collapse_pairs reads parent; the membership tests of
+    ncfree.families read valid; ncfree.symmetry reads valid and count
+    (_checked_count, _collapsed_count) and, through is_noncrossing,
+    _require_even_nc.
     """
-    seen = {}  # label -> appearances so far, negated once its block is closed
+    size = max(labels, default=-1) + 1
+    seen = [0] * size  # label -> appearances so far, negated once its block is closed
+    parent = list(range(size))
     stack = []
-    parent = {}  # non-root label -> its parent
     crossing = False
     merges = 0
-    for i, label in enumerate(labels):
-        c = seen.get(label, 0)
+    first = None  # the label of the open pair's first position
+    for label in labels:
+        c = seen[label]
         if c > 0:
             seen[label] = c + 1
             while stack[-1] != label:
@@ -346,19 +365,21 @@ def _label_scan(labels) -> tuple:
             stack.append(label)
         else:
             crossing = True
-        if i % 2:
-            a, b = _root(parent, first), _root(parent, label)
-            if a != b:
-                parent[b] = a
-                merges += 1
-        else:
+        if first is None:
             first = label
-    valid = not crossing and all(c % 2 == 0 for c in seen.values())
-    return valid, len(seen) - merges, parent
+        else:
+            if first != label:
+                a, b = _root(parent, first), _root(parent, label)
+                if a != b:
+                    parent[b] = a
+                    merges += 1
+            first = None
+    valid = not crossing and not any(c & 1 for c in seen)
+    return valid, size - seen.count(0) - merges, parent
 
 
-def _root(parent: dict, label):
-    while label in parent:
+def _root(parent: list, label: int) -> int:
+    while parent[label] != label:
         label = parent[label]
     return label
 

@@ -19,19 +19,23 @@ pair-collapsed partition with a union-find over the labels
 validated its collapsed count is stored on it, and so is the count of
 each cut's symmetrization: a martingale sweep over all 2m cuts scans each
 cut's mirror labels once and builds no symmetrization.  Each grid builds
-its terminal partitions once and keeps them.
+its terminal partitions once and keeps them, and keeps the absorption
+distribution of every state it has solved.
 
 Absorption probabilities come from Gauss-Jordan elimination of the
-chain's equations, scaled by 2m to integers, on sparse rows over Python
+chain's equations, scaled to integers, on sparse rows over Python
 integers (each row kept divided by the gcd of its entries), so they are
-exact Fractions without Fraction arithmetic in the solve.
+exact Fractions without Fraction arithmetic in the solve.  A state solved
+by an earlier call on the same grid is not explored or eliminated again:
+its distribution enters the equations of the states that reach it as a
+known value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, Tuple
 
 from .partitions import (
@@ -58,8 +62,10 @@ class GridShape:
     1..d when k is odd and d..1 when k is even, so that each label class
     A_i has one element per interval (2m elements in total).
 
-    terminal_partitions stores the grid's terminals on it, outside the
-    dataclass fields, so equality, hashing and repr do not see them.
+    terminal_partitions stores the grid's terminals on it, and
+    absorption_probabilities the absorption distribution of every state it
+    has solved on it, outside the dataclass fields, so equality, hashing and
+    repr do not see them.
     """
 
     d: int
@@ -343,13 +349,20 @@ def absorption_probabilities(p: Partition, g: GridShape) -> Dict[TerminalKind, F
     """Exact absorption distribution of the uniform-cut symmetrization chain.
 
     One step picks i uniformly in {1..2m} and applies the symmetrization at
-    cut i*d.  The reachable state graph is finite (at most
-    ABSORPTION_STATE_CAP transient states, checked before any solve).  The
-    absorption probabilities x solve x_s = mean of x over the 2m images of
-    s, an image in a terminal counting as that terminal's indicator; scaled
-    by 2m this is an integer system, eliminated exactly over Python
-    integers, so every probability is a Fraction.  Raises ValueError when
-    some reachable state cannot reach a terminal: the system is singular.
+    cut i*d.  The absorption probabilities x solve x_s = mean of x over the
+    2m images of s, an image in a terminal counting as that terminal's
+    indicator; scaled to integers this system is eliminated exactly over
+    Python integers, so every probability is a Fraction.
+
+    The distribution of every state a call solves is kept on g (outside its
+    dataclass fields), and later calls on g reuse it: a start already solved
+    returns at once, and otherwise the search for reachable states stops at
+    terminals and at solved states, whose distributions enter the equations
+    as known values.  So a sweep over a family solves each state once.
+    ABSORPTION_STATE_CAP bounds the states that one call must solve,
+    checked while they are collected, before any elimination.  Raises
+    ValueError, naming p and storing nothing, when some state it must solve
+    cannot reach a terminal: the system is singular.
     """
     _require_on_grid(p, g)
     terminals = terminal_partitions(g)
@@ -357,30 +370,43 @@ def absorption_probabilities(p: Partition, g: GridShape) -> Dict[TerminalKind, F
     kinds = sorted(terminals)
     if p in terminal_lookup:
         return {kind: Fraction(kind == terminal_lookup[p]) for kind in kinds}
-    states, rows = _absorption_system(p, g, terminal_lookup, kinds)
-    solution = _solve_integer_system(rows, len(states), len(kinds))
-    if solution is None:
-        raise ValueError("symmetrization chain from %s does not reach a terminal "
-                         "from every state it visits" % format_partition(p))
-    probs = solution[states.index(p)]
-    return {kind: probs[t] for t, kind in enumerate(kinds)}
+    solved = g.__dict__.get("_absorption")
+    if solved is None:
+        solved = {}
+        object.__setattr__(g, "_absorption", solved)  # g is frozen
+    probs = solved.get(p)
+    if probs is None:
+        states, rows = _absorption_system(p, g, terminal_lookup, kinds, solved)
+        solution = _solve_integer_system(rows, len(states), len(kinds))
+        if solution is None:
+            raise ValueError("symmetrization chain from %s does not reach a terminal "
+                             "from every state it visits" % format_partition(p))
+        solved.update(zip(states, map(tuple, solution)))
+        probs = solved[p]
+    return dict(zip(kinds, probs))
 
 
 def _absorption_system(p: Partition, g: GridShape, terminal_lookup: dict,
-                       kinds: list) -> tuple:
-    """Transient states reachable from p, sorted, and their equations.
+                       kinds: list, solved: dict = None) -> tuple:
+    """The states reachable from p that are to be solved, sorted, and their
+    equations.
 
-    Row s is a {column: int} dict holding the nonzero entries of 2m times
-    x_s - mean of x over the images of s: 2m at s, -1 per image in a
-    transient state, and +1 per image in a terminal in the right-hand
-    column len(states) + kinds.index(kind).
+    solved maps states whose distributions are known to them (tuples over
+    kinds); the search stops there as it does at terminals.  Row s is a
+    {column: int} dict holding the nonzero entries of L * 2m times
+    x_s - mean of x over the images of s: 2m L at s, -L per image in a state
+    to be solved, +L per image in a terminal in the right-hand column
+    len(states) + kinds.index(kind), and L times the known distribution of
+    each solved image in the right-hand columns.  L is the lcm of the
+    denominators of those known values, 1 when s has no solved image.
     """
+    solved = solved or {}
     cuts = [i * g.d for i in range(1, 2 * g.m + 1)]
     succ = {}
     frontier = [p]
     while frontier:
         state = frontier.pop()
-        if state in succ or state in terminal_lookup:
+        if state in succ or state in terminal_lookup or state in solved:
             continue
         images = [symmetrize(state, k) for k in cuts]
         succ[state] = images
@@ -395,10 +421,16 @@ def _absorption_system(p: Partition, g: GridShape, terminal_lookup: dict,
         column[part] = nstates + kinds.index(kind)
     rows = []
     for s in states:
-        row = {column[s]: len(cuts)}
+        known = [solved[img] for img in succ[s] if img not in column]
+        scale = lcm(*(v.denominator for probs in known for v in probs))
+        row = {column[s]: len(cuts) * scale}
         for img in succ[s]:
-            j = column[img]
-            row[j] = row.get(j, 0) + (1 if j >= nstates else -1)
+            j = column.get(img)
+            if j is not None:
+                row[j] = row.get(j, 0) + (scale if j >= nstates else -scale)
+        for probs in known:
+            for j, v in enumerate(probs, start=nstates):
+                row[j] = row.get(j, 0) + scale // v.denominator * v.numerator
         rows.append({j: v for j, v in row.items() if v})
     return states, rows
 

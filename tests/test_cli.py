@@ -622,6 +622,22 @@ def test_failing_cauchy_schwarz_rows_contract_each_member_once(monkeypatch, caps
     assert all(row["passed"] == "1" for row in rows["absorption-identity"])
 
 
+def test_identifications_compute_each_schatten_power_once(monkeypatch, capsys):
+    from ncfree import cli
+
+    calls = []
+    real = cli.schatten_pow
+    monkeypatch.setattr(cli, "schatten_pow", lambda M, m: calls.append(m) or real(M, m))
+    code, rows = _verify_rows(capsys, "--suite", "identifications", "--trials", "2")
+    assert code == 0
+    # one ||M_l||^2m per (family, l), read by both rows: 2 families x (2 + 2 + 3 + 3)
+    # levels over the cells d, m in 1..2
+    assert len(calls) == 20
+    assert len(rows["identify-equality"]) == len(rows["identify-inequality"]) == 4
+    assert all(row["passed"] == "1"
+               for row in rows["identify-equality"] + rows["identify-inequality"])
+
+
 def test_report_numeric_row_methods():
     from ncfree.cli import Report
 

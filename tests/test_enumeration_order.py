@@ -17,7 +17,7 @@ from ncfree.families import (
     enumerate_ncstar,
     enumerate_ncstar2,
 )
-from ncfree.partitions import _always, enumerate_nc
+from ncfree.partitions import Partition, _always, enumerate_nc
 from ncfree.symmetry import GridShape
 
 FAMILIES = (enumerate_ncstar, enumerate_ncstar2, enumerate_ncdm, enumerate_interval_pairings)
@@ -45,6 +45,26 @@ def _reference(monkeypatch, enumerator, g):
 def test_family_order_matches_the_reference(monkeypatch, enumerator, d, m):
     g = GridShape(d, m)
     assert _blocks(enumerator(g)) == _reference(monkeypatch, enumerator, g)
+
+
+def _same_block_ids(members):
+    # __eq__ compares blocks only, so a wrong _block_id shows only here
+    count = 0
+    for p in members:
+        assert p._block_id == Partition(p.n, p.blocks)._block_id, p
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_nc_block_ids_match_the_validating_constructor(n):
+    assert _same_block_ids(enumerate_nc(n)) > 0
+
+
+@pytest.mark.parametrize("d,m", [(1, 5), (2, 3), (3, 2)])
+@pytest.mark.parametrize("enumerator", FAMILIES, ids=lambda f: f.__name__)
+def test_family_block_ids_match_the_validating_constructor(enumerator, d, m):
+    assert _same_block_ids(enumerator(GridShape(d, m))) > 0
 
 
 def test_enumerate_cli_prints_the_reference_order(capsys):

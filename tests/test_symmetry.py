@@ -336,19 +336,25 @@ def test_absorption_probabilities_are_rational():
     assert probs[TerminalKind("level", 0)] == Fraction(1, 2)
 
 
-def _dense_fraction_solve(rows, nvars, nrhs):
-    """Reference solver: dense Gauss-Jordan over Fractions for [A | B];
-    returns A^{-1} B row-wise."""
+def _bareiss_solve(rows, nvars, nrhs):
+    """Reference solver: fraction-free (Bareiss) Gauss-Jordan over Python
+    ints on the dense rows of [A | B]; returns A^{-1} B row-wise.
+
+    Every row but the pivot row becomes (pivot * row - row[col] * pivot row)
+    divided by the previous pivot, a division that is exact; at the end A
+    is the last pivot times the identity."""
+    previous = 1
     for col in range(nvars):
         pivot = next(r for r in range(col, nvars) if rows[r][col] != 0)
         rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = rows[col][col]
-        rows[col] = [v / inv for v in rows[col]]
+        prow = rows[col]
+        a = prow[col]
         for r in range(nvars):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return [row[nvars:] for row in rows]
+            if r != col:
+                b = rows[r][col]
+                rows[r] = [(a * v - b * w) // previous for v, w in zip(rows[r], prow)]
+        previous = a
+    return [[Fraction(v, row[i]) for v in row[nvars:]] for i, row in enumerate(rows)]
 
 
 @pytest.mark.parametrize("d,m,members", [(2, 4, None), (1, 5, 20), (2, 5, 20)])
@@ -367,8 +373,8 @@ def test_integer_solver_matches_dense_fraction_solve(d, m, members):
         if all(s in reference for s in states):
             continue
         width = len(states) + len(kinds)
-        dense = [[Fraction(row.get(j, 0)) for j in range(width)] for row in rows]
-        reference.update(zip(states, _dense_fraction_solve(dense, len(states), len(kinds))))
+        dense = [[row.get(j, 0) for j in range(width)] for row in rows]
+        reference.update(zip(states, _bareiss_solve(dense, len(states), len(kinds))))
     for states, rows in systems:
         solution = symmetry._solve_integer_system(rows, len(states), len(kinds))
         assert solution == [reference[s] for s in states]
@@ -389,6 +395,66 @@ def test_absorption_identity_frontier():
             assert lam * (m - 1) == prof[l + 1] - prof[l]
         count += 1
     assert count == 285
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_absorption_sweep_on_one_grid_matches_fresh_grids(reverse):
+    members = list(enumerate_ncstar(GridShape(2, 4)))
+    assert len(members) == 285
+    fresh = [absorption_probabilities(p, GridShape(2, 4)) for p in members]
+    g = GridShape(2, 4)
+    order = range(len(members) - 1, -1, -1) if reverse else range(len(members))
+    swept = {i: absorption_probabilities(members[i], g) for i in order}
+    assert [swept[i] for i in range(len(members))] == fresh
+    # a second sweep answers every member from the stored states
+    assert [absorption_probabilities(p, g) for p in members] == fresh
+
+
+def test_absorption_cap_counts_the_states_one_call_must_solve(monkeypatch):
+    g = GridShape(2, 4)
+    members = list(enumerate_ncstar(g))
+    before = {i: absorption_probabilities(members[i], g) for i in range(24)}
+    stored = dict(g.__dict__["_absorption"])
+    terminals = terminal_partitions(g)
+    lookup = {part: kind for kind, part in terminals.items()}
+    unsolved = next(p for p in members if p not in stored and p not in lookup)
+    expected = absorption_probabilities(unsolved, GridShape(2, 4))
+    states, _ = symmetry._absorption_system(unsolved, g, lookup, sorted(terminals), stored)
+    assert 0 < len(states) < len(symmetry._absorption_system(
+        unsolved, g, lookup, sorted(terminals))[0])
+    monkeypatch.setattr(symmetry, "ABSORPTION_STATE_CAP", 0)
+    solved = next(i for i in before if members[i] not in lookup)
+    assert absorption_probabilities(members[solved], g) == before[solved]
+    with pytest.raises(ValueError, match="exceeds cap 0"):
+        absorption_probabilities(unsolved, g)
+    monkeypatch.setattr(symmetry, "ABSORPTION_STATE_CAP", len(states) - 1)
+    with pytest.raises(ValueError, match="exceeds cap %d" % (len(states) - 1)):
+        absorption_probabilities(unsolved, g)
+    assert g.__dict__["_absorption"] == stored
+    monkeypatch.setattr(symmetry, "ABSORPTION_STATE_CAP", len(states))
+    assert absorption_probabilities(unsolved, g) == expected
+
+
+@pytest.mark.parametrize("text", ["1|2|3|4", "1,2,3|4", "1|2,3,4"])
+def test_absorption_on_a_grid_holding_solved_states_still_names_a_singular_start(text):
+    g = GridShape(1, 2)
+    for p in list(enumerate_ncstar(g)) + [parse_partition("1,3|2,4", 4)]:
+        absorption_probabilities(p, g)
+    stored = dict(g.__dict__["_absorption"])
+    assert stored
+    with pytest.raises(ValueError, match=re.escape(text)):
+        absorption_probabilities(parse_partition(text, 4), g)
+    assert g.__dict__["_absorption"] == stored
+
+
+def test_stored_absorption_states_leave_grid_equality_hash_and_repr_alone():
+    g, fresh = GridShape(2, 3), GridShape(2, 3)
+    for p in enumerate_ncstar(g):
+        absorption_probabilities(p, g)
+    assert g.__dict__["_absorption"]
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+    assert repr(g) == "GridShape(d=2, m=3)"
+    assert {fresh: "value"}[g] == "value" and len({g, fresh}) == 1
 
 
 @pytest.mark.parametrize("text", ["1|2|3|4", "1,2,3|4", "1|2,3,4"])
