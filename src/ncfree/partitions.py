@@ -20,10 +20,10 @@ built once and reused whenever that segment comes up again, so the
 predicates must be pure functions of their arguments.
 
 _label_scan is the package's only non-crossing scan: one pass over a list
-of integer block labels that checks even blocks and no crossing and counts the
-blocks of the pair-collapsed partition.  is_noncrossing, collapse_pairs,
-the family membership tests of ncfree.families and the checks of
-ncfree.symmetry all read it.
+of integer block labels that checks even blocks and no crossing and
+counts the blocks of the pair-collapsed partition.  is_noncrossing,
+collapse_pairs, the family membership tests of ncfree.families and the
+checks of ncfree.symmetry all read it.
 """
 
 from __future__ import annotations
