@@ -19,11 +19,14 @@ open segment.  Within a call, each segment's choices of (block, gaps) are
 built once and reused whenever that segment comes up again, so the
 predicates must be pure functions of their arguments.
 
-_label_scan is the package's only non-crossing scan: one pass over a list
-of integer block labels that checks even blocks and no crossing and
+_label_scan is the package's full-list non-crossing scan: one pass over a
+list of integer block labels that checks even blocks and no crossing and
 counts the blocks of the pair-collapsed partition.  is_noncrossing,
 collapse_pairs, the family membership tests of ncfree.families and the
-checks of ncfree.symmetry all read it.
+checks of ncfree.symmetry read it.  A cut's symmetrization is the one
+case counted without it: ncfree.symmetry reads that count from the kept
+half, and scans the mirror labels in full only to name an invalid
+symmetrization.
 """
 
 from __future__ import annotations
@@ -338,13 +341,16 @@ def _label_scan(labels) -> tuple:
     closes every block opened after its last appearance, and a closed label
     that comes back crosses the block that closed it.
 
-    This is the package's only non-crossing scan, and every caller passes
-    block ids or, for a symmetrization, block ids and their mirror copies
-    (id plus block count).  is_noncrossing reads valid on a doubled label
-    list; collapse_pairs reads parent; the membership tests of
+    This is the package's full-list non-crossing scan, and every caller
+    passes block ids or, for a symmetrization, block ids and their mirror
+    copies (id plus block count).  is_noncrossing reads valid on a doubled
+    label list; collapse_pairs reads parent; the membership tests of
     ncfree.families read valid; ncfree.symmetry reads valid and count
     (_checked_count, _collapsed_count) and, through is_noncrossing,
-    _require_even_nc.
+    _require_even_nc.  A cut's symmetrization is counted from the kept
+    half instead (symmetry._half_count, the same stack scan over half the
+    labels); _checked_count scans its mirror labels only to name it when
+    it is invalid.
     """
     size = max(labels, default=-1) + 1
     seen = [0] * size  # label -> appearances so far, negated once its block is closed

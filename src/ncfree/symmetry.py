@@ -15,10 +15,13 @@ mirror copy (_mirror_labels); symmetrize builds the canonical partition
 from them in one pass.  One scan of a label list checks that every block
 is even and that no two blocks cross, and counts the blocks of the
 pair-collapsed partition with a union-find over the labels
-(partitions._label_scan).  A partition never changes, so once it is
-validated its collapsed count is stored on it, and so is the count of
-each cut's symmetrization: a martingale sweep over all 2m cuts scans each
-cut's mirror labels once and builds no symmetrization.  Each grid builds
+(partitions._label_scan).  A cut's symmetrization is counted without its
+label list, in one pass over the n/2 block ids of p over the half ending
+at the cut (_half_count); its mirror labels are scanned in full only to
+name it in the error when it is invalid.  A partition never changes, so
+once it is validated its collapsed count is stored on it, and so is the
+count of each cut's symmetrization: a martingale sweep over all 2m cuts
+reads each cut's half once and builds no symmetrization.  Each grid builds
 its terminal partitions once and keeps them, and keeps the absorption
 distribution of every state it has solved.
 
@@ -47,6 +50,7 @@ from .partitions import (
     interval_pairing,
     is_noncrossing,
     _label_scan,
+    _root,
     restrict,
     shifted_pairing,
 )
@@ -297,16 +301,92 @@ def _checked_count(n: int, labels) -> int:
 def _cut_count(p: Partition, k: int) -> int:
     """collapse_block_count(symmetrize(p, k)), stored on p by its cut in 1..n.
 
-    It scans the mirror labels: the symmetrization is built only to name
-    it in the error when it is invalid, and then nothing is stored.
+    The count is read from the half ending at k (_half_count).  Only when
+    that pass finds the symmetrization invalid are its mirror labels built
+    and scanned in full, so that _checked_count raises naming it; then
+    nothing is stored.
     """
     k = cyclic_index(k, p.n)
     if p._cut_counts is None:
         p._cut_counts = {}
     count = p._cut_counts.get(k)
     if count is None:
-        count = p._cut_counts[k] = _checked_count(p.n, _mirror_labels(p, k))
+        count = _half_count(p, k)
+        if count is None:
+            count = _checked_count(p.n, _mirror_labels(p, k))
+        p._cut_counts[k] = count
     return count
+
+
+def _half_count(p: Partition, k: int):
+    """Collapsed block count of symmetrize(p, k) from the half H ending at
+    k (n even), or None when that symmetrization has an odd block or a
+    crossing.
+
+    Let W be the block ids of p over H, in order, and O those that also
+    meet the other half.  The symmetrization is W followed by its mirror,
+    in which an id of O keeps its label and any other id takes a copy.  It
+    is even and non-crossing iff the stack scan of W (as in _label_scan)
+    finds no crossing and never closes an id of O, which would nest an
+    outer block inside another, and every id outside O appears an even
+    number of times.  Its collapsed blocks are the classes of W's ids
+    joined through the pairs inside H, each with its mirror class; the two
+    are one class when the class holds an id of O or a position of H whose
+    pair crosses the boundary of H, which then joins it to its mirror
+    image.  Such a position is k - n/2 + 1 when it is even and k when k is
+    odd, and a class with no id of O has an even number of positions, so
+    it holds both of them or neither: the one at k marks it.  So the count
+    is twice the number of classes less the number joined to their mirror.
+    """
+    n = p.n
+    half = n // 2
+    c = k % n  # 0-based, H is c-half .. c-1 of two laps of the ids
+    if c < half:
+        c += n
+    ids = p._block_id * 2
+    word = ids[c - half:c]
+    outer = set(ids[c:c + half])
+    size = len(p.blocks)
+    seen = [0] * size  # id -> appearances in W, negated once its block is closed
+    parent = list(range(size))
+    stack = []
+    merges = 0
+    # the label of the open pair's first position; when the first pair of H
+    # starts before it, W[0] stands in for that position and joins nothing
+    first = word[0] if (c - half) & 1 else None
+    for label in word:
+        count = seen[label]
+        if count > 0:
+            seen[label] = count + 1
+            while stack[-1] != label:
+                top = stack.pop()
+                if top in outer:
+                    return None
+                seen[top] = -seen[top]
+        elif count == 0:
+            seen[label] = 1
+            stack.append(label)
+        else:
+            return None
+        if first is None:
+            first = label
+        else:
+            if first != label:
+                a, b = _root(parent, first), _root(parent, label)
+                if a != b:
+                    parent[b] = a
+                    merges += 1
+            first = None
+    joined = set()  # roots of the classes joined to their mirror
+    for label, count in enumerate(seen):
+        if label in outer:
+            if count:
+                joined.add(_root(parent, label))
+        elif count & 1:
+            return None
+    if first is not None:  # the last pair of H ends after it
+        joined.add(_root(parent, first))
+    return 2 * (size - seen.count(0) - merges) - len(joined)
 
 
 def check_collapse_martingale(p: Partition, k: int) -> Tuple[int, int]:
@@ -315,7 +395,8 @@ def check_collapse_martingale(p: Partition, k: int) -> Tuple[int, int]:
 
     Each cut's count is computed once per partition (see _cut_count), so
     a sweep of k over all 2m cuts validates and counts each symmetrization
-    once, from its mirror labels; the invariant is asserted on every call.
+    once, from the half of p that it keeps; the invariant is asserted on
+    every call.
     """
     count = collapse_block_count(p)
     b_left = _cut_count(p, k)

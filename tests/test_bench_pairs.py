@@ -45,6 +45,22 @@ def test_summary_reports_failures():
     assert out["wall_s"]["parent_iqr"] == 0.0
 
 
+def test_summary_reports_both_sides_quartiles():
+    parent = [0.8, 0.6, 0.7, 0.9]
+    change = [0.5, 0.65, 0.4, 0.45]
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent, change)):
+        runs += [_run("parent", pair, p), _run("change", pair, c)]
+    wall = bench_pairs.summarize(runs)["wall_s"]
+    # exclusive quartiles: 0.625 and 0.875 for the parent, 0.4125 and 0.6125 for the change
+    assert (wall["parent_q1"], wall["parent_q3"]) == (0.625, 0.875)
+    assert (wall["change_q1"], wall["change_q3"]) == (0.4125, 0.6125)
+    assert wall["parent_iqr"] == round(wall["parent_q3"] - wall["parent_q1"], 4)
+    single = bench_pairs.summarize([_run("parent", 0, 0.5), _run("change", 0, 0.4)])["wall_s"]
+    assert (single["parent_q1"], single["parent_q3"]) == (0.5, 0.5)
+    assert (single["change_q1"], single["change_q3"]) == (0.4, 0.4)
+
+
 def test_plan_parsing():
     assert bench_pairs.parse_plan(["exact=6", "holo=2"]) == [("exact", 6), ("holo", 2)]
     for bad in ("exact", "exact=0", "=3", "exact=x"):

@@ -613,13 +613,27 @@ def test_failing_cauchy_schwarz_rows_contract_each_member_once(monkeypatch, caps
     monkeypatch.setattr(cli, "trace_sum_complex", lambda fam, p: calls.append(p) or 1e6)
     code, rows = _verify_rows(capsys, "--suite", "cauchy-schwarz", "--trials", "2")
     assert code == 1
-    # one lhs per (family, member): 2 families x (1 + 3 + 1 + 5) star members for the
-    # cuts, and again for the exponent bound at m = 2 (3 + 5 members)
-    assert len(calls) == 36
+    # one lhs per (family, member), read by the cuts and the exponent bound:
+    # 2 families x (1 + 3 + 1 + 5) star members
+    assert len(calls) == 20
     assert len(rows["cauchy-schwarz"]) == 4 and len(rows["exponent-bound"]) == 2
     for row in rows["cauchy-schwarz"] + rows["exponent-bound"]:
         assert row["passed"] == "0" and float(row["value"]) > 0, row
     assert all(row["passed"] == "1" for row in rows["absorption-identity"])
+
+
+def test_cauchy_schwarz_contracts_each_cut_symmetrization_once(monkeypatch, capsys):
+    from ncfree import cli
+
+    calls = []
+    real = cli.trace_sum
+    monkeypatch.setattr(cli, "trace_sum", lambda fam, p: calls.append(p) or real(fam, p))
+    code, rows = _verify_rows(capsys, "--suite", "cauchy-schwarz", "--trials", "2")
+    assert code == 0
+    # one Tr(sym_jd p) per (family, member, cut j), read at cuts j and j - m:
+    # 2 families x (1 x 2 + 3 x 4 + 1 x 2 + 5 x 4) over the cells d, m in 1..2
+    assert len(calls) == 72
+    assert all(row["passed"] == "1" for row in rows["cauchy-schwarz"])
 
 
 def test_identifications_compute_each_schatten_power_once(monkeypatch, capsys):

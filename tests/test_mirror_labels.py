@@ -19,6 +19,7 @@ from ncfree.partitions import (
     Partition,
     _label_scan,
     collapse_pairs,
+    enumerate_nc,
     parse_partition,
     restrict,
 )
@@ -110,12 +111,35 @@ def test_cut_counts_match_the_reference_symmetrization(d, m):
                 reference_symmetrize(p, k + p.n // 2)).num_blocks
 
 
+def _same_cut_count(p, k):
+    valid, count, _ = _label_scan(symmetry._mirror_labels(p, k))
+    assert symmetry._half_count(p, k) == (count if valid else None), (p, k)
+
+
+def test_half_count_matches_the_full_scan_on_nc_partitions():
+    # odd blocks included, so invalid symmetrizations come up
+    for n in range(2, 11, 2):
+        for p in enumerate_nc(n):
+            for k in range(0, n + 2):
+                _same_cut_count(p, k)
+
+
+def test_half_count_matches_the_full_scan_on_all_set_partitions():
+    # crossings included
+    for n in range(2, 9, 2):
+        for p in all_set_partitions(n):
+            for k in range(0, n + 2):
+                _same_cut_count(p, k)
+
+
 @pytest.mark.parametrize("labels,message", [
     ([0, 1, 0, 1], "partition must be non-crossing: 1,3|2,4"),
     ([0, 0, 0, 1], "partition must have even blocks: 1,2,3|4")])
 def test_an_invalid_symmetrization_fails_every_call_and_stores_nothing(
         monkeypatch, labels, message):
-    # a valid p never has an invalid symmetrization: feed the scan bad labels
+    # a valid p never has an invalid symmetrization: let the half-pass report one
+    # and feed the full scan, which names it, bad labels
+    monkeypatch.setattr(symmetry, "_half_count", lambda p, k: None)
     monkeypatch.setattr(symmetry, "_mirror_labels", lambda p, k: list(labels))
     with pytest.raises(ValueError) as info:
         collapse_block_count(Partition._from_labels(4, labels))

@@ -3,11 +3,11 @@
 Each pair runs ``benchmarks/run.py`` once in the parent checkout and once in
 the change checkout, in a fresh process with the checkout as working
 directory, and alternates which side goes first.  The summary has, per
-workload and end-to-end metric, the medians of both sides, the relative
-change of the medians, the interquartile range of the parent's runs, and the
-number of pairs the change won, along with the failed and attempted case
-counts.  Every run's last-line JSON is kept under "runs".  Standard library
-only.
+workload and end-to-end metric, the medians and the lower and upper
+quartiles of both sides, the relative change of the medians, the
+interquartile range of the parent's runs, and the number of pairs the
+change won, along with the failed and attempted case counts.  Every run's
+last-line JSON is kept under "runs".  Standard library only.
 
 Run from anywhere, with one WORKLOAD=PAIRS argument per workload::
 
@@ -44,11 +44,12 @@ def commit_of(root):
     return done.stdout.strip() or None
 
 
-def iqr(values):
+def quartiles(values):
+    """The lower and upper quartiles (exclusive method); one value is both."""
     if len(values) < 2:
-        return 0.0
+        return values[0], values[0]
     q = statistics.quantiles(values, n=4)
-    return q[2] - q[0]
+    return q[0], q[2]
 
 
 def summarize(runs):
@@ -63,9 +64,12 @@ def summarize(runs):
         parent = [r["metrics"][name]["value"] for r in sides["parent"]]
         change = [r["metrics"][name]["value"] for r in sides["change"]]
         before, after = statistics.median(parent), statistics.median(change)
+        (p1, p3), (c1, c3) = quartiles(parent), quartiles(change)
         out[name] = {"parent_median": round(before, 4), "change_median": round(after, 4),
                      "relative": round(after / before - 1, 4),
-                     "parent_iqr": round(iqr(parent), 4),
+                     "parent_iqr": round(p3 - p1, 4),
+                     "parent_q1": round(p1, 4), "parent_q3": round(p3, 4),
+                     "change_q1": round(c1, 4), "change_q3": round(c3, 4),
                      "change_better_pairs": sum(c < p for p, c in zip(parent, change))}
     return out
 
