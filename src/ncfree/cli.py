@@ -252,27 +252,30 @@ def suite_cauchy_schwarz(args) -> Report:
         fams = _random_families(args, d)
         # |Tr(p)| once per (family, member), read by both rows
         lhs = [[abs(trace_sum_complex(fam, p)) for p in members] for fam in fams]
+        # sym_jd p once per (member, cut j), read by every family
+        syms = [[symmetrize(p, d * j) for j in range(1, 2 * m + 1)] for p in members]
 
         def cuts():
             """|Tr(p)| against sqrt(Tr(sym_di p) Tr(sym_(m+i)d p)) at every cut i;
             each Tr(sym_jd p) is computed once, for cut j and for cut j - m."""
             for fam, values in zip(fams, lhs):
-                for p, value in zip(members, values):
-                    sym = [max(trace_sum(fam, symmetrize(p, d * j)), 0.0)
-                           for j in range(1, 2 * m + 1)]
+                for cut_syms, value in zip(syms, values):
+                    sym = [max(trace_sum(fam, s), 0.0) for s in cut_syms]
                     for i in range(2 * m):
                         yield value, math.sqrt(sym[i] * sym[(i + m) % (2 * m)])
         rep.inequality("cauchy-schwarz", "d=%d,m=%d,members=%d" % (d, m, len(members)),
                        cuts(), slack=1e-9)
         if m >= 2:
+            mus = [level_exponents(p, g) for p in members]
+
             def exponents():
                 """|Tr(p)| against prod_l ||M_l||_2m^(2m mu_l(p))."""
                 for fam, values in zip(fams, lhs):
                     norms = [schatten_norm(build_Ml(fam, l), m) for l in range(d + 1)]
-                    for p, value in zip(members, values):
+                    for member_mus, value in zip(mus, values):
                         yield value, math.prod(
                             norm ** (2 * m * float(mu))
-                            for norm, mu in zip(norms, level_exponents(p, g)))
+                            for norm, mu in zip(norms, member_mus))
             rep.inequality("exponent-bound", "d=%d,m=%d" % (d, m), exponents(), slack=1e-9)
         bad = 0
         for p in members:

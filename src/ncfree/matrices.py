@@ -7,7 +7,10 @@ traces of matrix powers.  The central quantity is the trace sum of a
 partition: one free index per block, and the 2m groups of d positions
 contribute alternately the family and the conjugate-transpose of the
 index-reversed family.  The sums are contracted around the ring of groups,
-one two-operand einsum per group.  A star family's tensor runs over the
+one two-operand einsum per group; a walk over a sequence of partitions
+starts each one at the first group where it leaves the previous one's
+contraction, so a ring prefix that consecutive partitions share is
+contracted once.  A star family's tensor runs over the
 doubled alphabet of 2r letters, letter 2(k - 1) + e for index k with star
 bit e, so block matrices, trace sums and moments read it as they read a
 plain family's tensor: a block's phase is part of its letter, and star
@@ -308,30 +311,69 @@ def _group_tensors(a) -> tuple:
     return t, even
 
 
-def _contract(p: Partition, d: int, m: int, tensor_of) -> complex:
-    """The trace sum of p, contracted around the ring of its 2m groups.
+def _ring_walk(d: int, m: int, tensor_of):
+    """A function giving the trace sum of each partition it is called on,
+    contracted around the ring of its 2m groups; called on a sequence of
+    partitions in order, it contracts each prefix they share once.
 
     Group j (positions jd+1..jd+d) contributes tensor_of(j), subscripted by
     the blocks of its positions and by the two matrix indices it chains.
-    Walking the groups in ring order carries T[i0, i, blocks still open],
-    from eye(alpha): each group is one two-operand einsum, which sums out
-    every block whose last position lies in the group, and the result is
-    trace(T).  T holds at most alpha^2 L^(#blocks) entries over the
-    family's L letters, so the assignment cap checked by the callers bounds
-    it.
+    Walking the groups in ring order carries T_j[i0, i, blocks still open],
+    from T_0 = eye(alpha): group j is one two-operand einsum from T_j to
+    T_(j+1), which sums out every block whose last position lies in the
+    group, and the result is trace(T_2m).  T holds at most
+    alpha^2 L^(#blocks) entries over the family's L letters, so the
+    assignment cap checked by the callers bounds it.
+
+    The walk keeps T_0 .. T_2m of the partition it was last called on.  The
+    einsum of group j reads T_j, the blocks open going in, the group's block
+    ids and the blocks open going out.  These agree on groups 0..j-1 exactly
+    when the two partitions agree on positions 1..jd in their block ids and
+    in which positions end a block.  (Where the ids agree on a group but a
+    block ends there in one partition only, the other has that block at a
+    later position, which lies in a later group, as the ids would differ
+    otherwise; so the blocks open going out differ.)  From the first group
+    that differs the walk runs the same einsums on the same operands as a
+    fresh walk, so every trace sum is == to a fresh walk's.  The matrix
+    indices take the labels above every block id, whatever the block count,
+    so that partitions with different block counts share prefixes.
     """
-    nb = p.num_blocks
-    last_group = [(max(b) - 1) // d for b in p.blocks]
-    first, here, nxt = nb, nb + 1, nb + 2
-    T = np.eye(tensor_of(0).shape[-1], dtype=complex)
-    open_blocks = []
-    for j in range(2 * m):
-        subs = [p.block_id(j * d + o + 1) for o in range(d)]
-        still_open = [b for b in dict.fromkeys(open_blocks + subs) if last_group[b] > j]
-        T = np.einsum(T, [first, here] + open_blocks, tensor_of(j), subs + [here, nxt],
-                      [first, nxt] + still_open)
-        open_blocks = still_open
-    return complex(np.trace(T))
+    first, here, nxt = 49, 50, 51  # einsum takes labels below 52
+    partials = [np.eye(tensor_of(0).shape[-1], dtype=complex)]  # T_0 .. T_j
+    opens = [[]]  # the blocks open going into groups 0 .. j
+    walked = []  # block id per position of the last partition, ~id where a block ends
+
+    def trace_of(p: Partition) -> complex:
+        nonlocal walked
+        ends = [max(b) for b in p.blocks]
+        code = list(p._block_id)
+        for x in ends:
+            code[x - 1] = ~code[x - 1]
+        shared = 0
+        for u, v in zip(code, walked):
+            if u != v:
+                break
+            shared += 1
+        start = shared // d
+        del partials[start + 1:], opens[start + 1:]
+        last_group = [(x - 1) // d for x in ends]
+        for j in range(start, 2 * m):
+            subs = list(p._block_id[j * d:j * d + d])
+            open_blocks = opens[j]
+            still_open = [b for b in dict.fromkeys(open_blocks + subs) if last_group[b] > j]
+            partials.append(np.einsum(partials[j], [first, here] + open_blocks, tensor_of(j),
+                                      subs + [here, nxt], [first, nxt] + still_open))
+            opens.append(still_open)
+        walked = code
+        return complex(np.trace(partials[-1]))
+
+    return trace_of
+
+
+def _contract(p: Partition, d: int, m: int, tensor_of) -> complex:
+    """The trace sum of p, contracted around the ring of its 2m groups by
+    the one-member case of _ring_walk: one two-operand einsum per group."""
+    return _ring_walk(d, m, tensor_of)(p)
 
 
 def trace_sum_complex(a: CoefficientFamily, p: Partition) -> complex:
@@ -688,11 +730,17 @@ def _holo_sum(a: CoefficientFamily, spec: CumulantSpec, m: int) -> complex:
                          lambda p: trace_sum_complex(a, p))
 
 
-def _holo_unit_moment(a: CoefficientFamily, spec: CumulantSpec, m: int) -> tuple:
+def _check_plain_moment(a, m: int, moments: str) -> None:
+    """Raises ValueError for a star family and for m < 1: the moments
+    named take a plain family and m >= 1."""
     if isinstance(a, StarCoefficientFamily):
-        raise ValueError("holomorphic moments take a plain family, not a star family")
+        raise ValueError("%s moments take a plain family, not a star family" % moments)
     if m < 1:
         raise ValueError("need m >= 1")
+
+
+def _holo_unit_moment(a: CoefficientFamily, spec: CumulantSpec, m: int) -> tuple:
+    _check_plain_moment(a, m, "holomorphic")
     return _unit_moment(a, lambda unit: _holo_sum(unit, spec, m))
 
 

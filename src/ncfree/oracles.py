@@ -6,7 +6,11 @@ d*m is lossless for vacuum moments of 2m factors), exact convolution in the
 group algebra of a free group for the unitary case, and a brute-force moment
 sum over the non-crossing partitions of the word positions whose blocks all
 carry a nonzero cumulant (every other member weighs 0; the tests check this
-support against kappa_pi over all of NC(n)).  The Fock
+support against kappa_pi over all of NC(n)).  The brute-force sum contracts
+its members in one ring walk (matrices._ring_walk), which contracts each
+ring prefix that consecutive members share once; every trace sum is == to
+trace_sum_complex's.  Each oracle realizes a plain family: all three
+moments raise ValueError for a star family and for m < 1.  The Fock
 realization also gives the operator-norm lower bound: its norm is computed
 exactly, as the largest dense norm over the small blocks into which the
 operator splits.
@@ -24,9 +28,12 @@ from . import matrices
 from .matrices import (
     CoefficientFamily,
     _check_adjacent_support,
+    _check_assignment_cap,
+    _check_plain_moment,
+    _group_tensors,
+    _ring_walk,
     _weighted_sum,
     operator_norm,
-    trace_sum_complex,
 )
 
 FOCK_DIMENSION_CAP = 200_000
@@ -133,9 +140,9 @@ class _FamilyOperator:
 
 
 def fock_moment(a: CoefficientFamily, kind: str, m: int, depth: int = None) -> float:
-    """(Tr (x) vacuum)((A A^*)^m); exact at depth d*m, up to float rounding."""
-    if m < 1:
-        raise ValueError("need m >= 1")
+    """(Tr (x) vacuum)((A A^*)^m); exact at depth d*m, up to float rounding.
+    Raises ValueError for a star family and for m < 1."""
+    _check_plain_moment(a, m, "Fock")
     if depth is None:
         depth = a.d * m
     op = _FamilyOperator(a, kind, depth)
@@ -301,9 +308,9 @@ def _power(x: Dict[tuple, np.ndarray], k: int, alpha: int) -> Dict[tuple, np.nda
 
 
 def free_group_moment(a: CoefficientFamily, m: int) -> float:
-    """(Tr (x) tau)((A A^*)^m) for A realized over free group generators."""
-    if m < 1:
-        raise ValueError("need m >= 1")
+    """(Tr (x) tau)((A A^*)^m) for A realized over free group generators.
+    Raises ValueError for a star family and for m < 1."""
+    _check_plain_moment(a, m, "free-group")
     elem = family_group_element(a)
     x = convolve(elem, adjoint_element(elem))
     return trace_pairing(_power(x, m // 2, a.alpha), _power(x, m - m // 2, a.alpha)).real
@@ -318,10 +325,17 @@ def brute_moment(spec: CumulantSpec, a: CoefficientFamily, m: int) -> float:
 
     Validates that the structured sums lose nothing: the weight vanishes
     off the structured families, the trace sum handles the rest.  Only the
-    members that cumulants._kappa_support yields are weighed and contracted;
+    members that cumulants._kappa_support yields are weighed with kappa_pi;
     every other member of NC(2dm) has a block of zero cumulant, so the sum
-    is the one over all of NC(2dm).
+    is the one over all of NC(2dm).  The members of nonzero weight are
+    contracted by one matrices._ring_walk in the order they come, which
+    contracts each ring prefix that consecutive members share once; each
+    member's ASSIGNMENT_CAP is checked before its einsums.  Every trace sum
+    is == to trace_sum_complex's, and weight * trace is summed in the
+    support's order.  Raises ValueError for a star family, for m < 1 and
+    past BRUTE_GROUND_CAP.
     """
+    _check_plain_moment(a, m, "brute-force")
     n = 2 * a.d * m
     if n > BRUTE_GROUND_CAP:
         raise ValueError("ground size %d exceeds brute cap %d" % (n, BRUTE_GROUND_CAP))
@@ -330,6 +344,13 @@ def brute_moment(spec: CumulantSpec, a: CoefficientFamily, m: int) -> float:
         word = plain_word(n)
     else:
         word = holo_word(a.d, m)
+    groups = _group_tensors(a)
+    walk = _ring_walk(a.d, m, lambda j: groups[j % 2])
+
+    def trace_of(p):
+        _check_assignment_cap(a, p)
+        return walk(p)
+
     total = _weighted_sum(_kappa_support(spec, word), lambda p: kappa_pi(spec, p, word),
-                          lambda p: trace_sum_complex(a, p))
+                          trace_of)
     return total.real

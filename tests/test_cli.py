@@ -636,6 +636,27 @@ def test_cauchy_schwarz_contracts_each_cut_symmetrization_once(monkeypatch, caps
     assert all(row["passed"] == "1" for row in rows["cauchy-schwarz"])
 
 
+def test_cauchy_schwarz_builds_each_symmetrization_and_exponent_once(monkeypatch, capsys):
+    from ncfree import cli
+
+    calls = {"symmetrize": 0, "level_exponents": 0}
+    for name in calls:
+        real = getattr(cli, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    code, rows = _verify_rows(capsys, "--suite", "cauchy-schwarz", "--trials", "2")
+    assert code == 0
+    # neither depends on the family: one sym_jd p per (member, cut j), 1 x 2 + 3 x 4
+    # + 1 x 2 + 5 x 4, and one mu(p) per member of the m = 2 cells, 3 + 5
+    assert calls == {"symmetrize": 36, "level_exponents": 8}
+    assert all(row["passed"] == "1"
+               for row in rows["cauchy-schwarz"] + rows["exponent-bound"])
+
+
 def test_identifications_compute_each_schatten_power_once(monkeypatch, capsys):
     from ncfree import cli
 

@@ -666,6 +666,31 @@ def test_assignment_cap_raises_before_any_einsum(monkeypatch):
         trace_sum_star_complex(star, parse_partition("1,2|3,4|5,6", 6))
 
 
+def _walk_orders(members):
+    """The members in enumeration order, reversed, and with the middle one
+    repeated, so that one member shares its whole ring with the last."""
+    middle = len(members) // 2
+    return {"enumeration": members, "reversed": members[::-1],
+            "repeated": members[:middle + 1] + members[middle:]}
+
+
+@pytest.mark.parametrize("order", ["enumeration", "reversed", "repeated"])
+@pytest.mark.parametrize("d,m", [(1, 3), (1, 4), (2, 2)])
+def test_ring_walk_equals_the_one_member_contraction(d, m, order):
+    from ncfree.matrices import _contract, _group_tensors, _ring_walk
+
+    groups = _group_tensors(random_family(d, 2, 2, np.random.default_rng(70 + 10 * d + m)))
+
+    def tensor_of(j):
+        return groups[j % 2]
+
+    members = list(all_set_partitions(2 * d * m))  # crossing ones included
+    walk = _ring_walk(d, m, tensor_of)
+    for p in _walk_orders(members)[order]:
+        value, alone = walk(p), _contract(p, d, m, tensor_of)
+        assert type(value) is type(alone) and value == alone, p
+
+
 @pytest.mark.parametrize("m", [0, -1])
 def test_moments_need_m_at_least_1(m):
     circ, semi = CumulantSpec.circular(), CumulantSpec.semicircular()

@@ -15,6 +15,7 @@ from ncfree.matrices import (
     operator_norm,
     random_adjacent_distinct_family,
     random_family,
+    random_star_family,
 )
 from ncfree.oracles import (
     FockSpace,
@@ -265,6 +266,56 @@ def test_brute_cap():
     a = random_family(2, 2, 1, rng)
     with pytest.raises(ValueError):
         brute_moment(CumulantSpec.circular(), a, 4)
+
+
+def test_brute_contracts_each_shared_ring_prefix_once(monkeypatch):
+    # the 273 support members of d=1, m=5 under Haar take 10 einsums each
+    # when contracted one by one; in support order they share ring prefixes
+    calls = []
+    real = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args: calls.append(1) or real(*args))
+    a = random_family(1, 2, 2, np.random.default_rng(0))
+    value = brute_moment(CumulantSpec.haar_unitary(), a, 5)
+    assert len(calls) == 1380
+    assert value == reference_brute_moment(CumulantSpec.haar_unitary(), a, 5)
+
+
+def test_brute_checks_the_assignment_cap_before_any_einsum(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("an einsum ran before the assignment cap check")
+
+    monkeypatch.setattr(np, "einsum", never)
+    monkeypatch.setattr(matrices, "ASSIGNMENT_CAP", 1)  # 2^blocks > 1 for every member
+    a = random_family(1, 2, 2, np.random.default_rng(1))
+    for spec in (CumulantSpec.circular(), CumulantSpec.haar_unitary()):
+        with pytest.raises(ValueError, match="exceeds cap 1"):
+            brute_moment(spec, a, 2)
+
+
+def test_oracle_moments_reject_a_star_family(monkeypatch):
+    # each oracle realizes a plain family; a star family must not get a number
+    for name in ("_kappa_support", "convolve", "_FamilyOperator"):
+        monkeypatch.setattr(oracles, name, lambda *args: pytest.fail("work was done"))
+    star = random_star_family(1, 2, 2, np.random.default_rng(0))
+    calls = [lambda spec=spec: brute_moment(spec, star, 2) for spec in (
+        CumulantSpec.circular(), CumulantSpec.haar_unitary(), CumulantSpec.semicircular())]
+    calls += [lambda: free_group_moment(star, 2), lambda: fock_moment(star, "circular", 2)]
+    for call in calls:
+        with pytest.raises(ValueError, match="take a plain family, not a star family"):
+            call()
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_oracle_moments_need_m_at_least_1(m):
+    plain = random_family(1, 2, 2, np.random.default_rng(60))
+    distinct = random_adjacent_distinct_family(2, 2, 2, np.random.default_rng(61))
+    calls = [lambda: brute_moment(CumulantSpec.circular(), plain, m),
+             lambda: brute_moment(CumulantSpec.semicircular(), distinct, m),
+             lambda: free_group_moment(plain, m),
+             lambda: fock_moment(plain, "circular", m)]
+    for call in calls:
+        with pytest.raises(ValueError, match="need m >= 1"):
+            call()
 
 
 def _same_as_full_nc_sum(spec, a, m):
