@@ -1,14 +1,17 @@
 """Command-line harness: family dumps, verification suites, norm reports.
 
 Exit codes: 0 all checks pass, 1 a verification row failed, 2 usage or
-configuration error.  With a fixed seed every run is deterministic; random
-entries come from numpy's seeded PCG64 generator, uniform on [-1, 1] in each
-real and imaginary part.
+configuration error, or a failed read or write.  Every command raises
+ValueError, ArithmeticError or OSError, and main prints it as
+"<command>: <message>" and exits 2.  With a fixed seed every run is
+deterministic; random entries come from numpy's seeded PCG64 generator,
+uniform on [-1, 1] in each real and imaginary part.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -407,27 +410,30 @@ def _family_stream(args):
     raise ValueError("unknown family %r" % args.family)
 
 
-def cmd_enumerate(args) -> int:
+@contextlib.contextmanager
+def _output(path):
+    """The stream that --out names, stdout when it is not given.  An OSError
+    in opening, writing or closing the file is raised again as OSError
+    "cannot write --out PATH: reason"."""
+    if not path:
+        yield sys.stdout
+        return
     try:
-        stream, closed_form = _family_stream(args)
-    except ValueError as exc:
-        print("enumerate: %s" % exc, file=sys.stderr)
-        return 2
-    try:
-        out = open(args.out, "w", newline="") if args.out else sys.stdout
+        with open(path, "w", newline="") as out:
+            yield out
     except OSError as exc:
-        print("enumerate: cannot write --out %s: %s" % (args.out, exc.strerror), file=sys.stderr)
-        return 2
-    try:
+        raise OSError("cannot write --out %s: %s" % (path, exc.strerror or exc)) from None
+
+
+def cmd_enumerate(args) -> int:
+    stream, closed_form = _family_stream(args)
+    with _output(args.out) as out:
         writer = csv.writer(out)
         writer.writerow(["partition"])
         count = 0
         for p in stream:
             writer.writerow([format_partition(p)])
             count += 1
-    finally:
-        if args.out:
-            out.close()
     if closed_form is not None and count != closed_form:
         print("enumerate: count %d does not match closed form %d" % (count, closed_form),
               file=sys.stderr)
@@ -439,59 +445,36 @@ def cmd_enumerate(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.suite not in SUITES:
-        print("verify: unknown suite %r (choose from %s)"
-              % (args.suite, ", ".join(sorted(SUITES))), file=sys.stderr)
-        return 2
+        raise ValueError("unknown suite %r (choose from %s)"
+                         % (args.suite, ", ".join(sorted(SUITES))))
     for option in ("n", "d", "m", "r", "alpha", "trials"):
         if getattr(args, option) < 1:
-            print("verify: --%s must be a positive integer" % option, file=sys.stderr)
-            return 2
+            raise ValueError("--%s must be a positive integer" % option)
     if args.seed < 0:
-        print("verify: --seed must be a non-negative integer", file=sys.stderr)
-        return 2
+        raise ValueError("--seed must be a non-negative integer")
     # opened before the suite runs, so an unwritable path costs no work
-    try:
-        out = open(args.out, "w", newline="") if args.out else sys.stdout
-    except OSError as exc:
-        print("verify: cannot write --out %s: %s" % (args.out, exc.strerror), file=sys.stderr)
-        return 2
-    try:
+    with _output(args.out) as out:
         report = SUITES[args.suite](args)
         report.write(out)
-    except (ValueError, ArithmeticError) as exc:
-        print("verify: %s" % exc, file=sys.stderr)
-        return 2
-    finally:
-        if args.out:
-            out.close()
     return 0 if report.all_passed else 1
 
 
 def cmd_norm(args) -> int:
     if args.m < 1:
-        print("norm: --m must be a positive integer", file=sys.stderr)
-        return 2
-    try:
-        fam = load_family(args.family_file)
-        spec = CumulantSpec.from_name(args.spec)
-    except (OSError, ValueError) as exc:
-        print("norm: %s" % exc, file=sys.stderr)
-        return 2
+        raise ValueError("--m must be a positive integer")
+    fam = load_family(args.family_file)
+    spec = CumulantSpec.from_name(args.spec)
     m = args.m
     if isinstance(fam, StarCoefficientFamily) or spec.kind == "semicircle":
         norm_2m, rhs_bound = nonholo_norm_2m, nonholo_rhs_bound
     else:
         norm_2m, rhs_bound = holo_norm_2m, holo_rhs_bound
-    try:
-        # both sides are homogeneous of degree 1, so they are computed at
-        # unit ||a||_2, where the ratio stays finite when the bound is not
-        scale = fam.frobenius()
-        unit = fam.scaled(1 / scale) if scale else fam
-        lhs = norm_2m(unit, spec, m)
-        rhs = rhs_bound(unit, spec, m)
-    except (ValueError, ArithmeticError) as exc:
-        print("norm: %s" % exc, file=sys.stderr)
-        return 2
+    # both sides are homogeneous of degree 1, so they are computed at
+    # unit ||a||_2, where the ratio stays finite when the bound is not
+    scale = fam.frobenius()
+    unit = fam.scaled(1 / scale) if scale else fam
+    lhs = norm_2m(unit, spec, m)
+    rhs = rhs_bound(unit, spec, m)
     norms = matrices.ml_norms(fam, m)
     print("lhs_norm_2m=%s" % _fmt(scale * lhs))
     for l, value in enumerate(norms):
@@ -586,7 +569,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, ArithmeticError, OSError) as exc:
+        print("%s: %s" % (args.command, exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -28,9 +28,11 @@ presets need one.  Haar takes Kesten's first-return form, pairs of weight
 1 with no signed cumulant: its context names the letter that may not open
 a block, the inverse of the letter below, or nothing below.  Only the few
 large-d cells past MOMENT_DP_CAP but within the old enumeration caps
-still sum `_weighted_sum` over an enumerated family.  Moments are summed
-for the family scaled to unit norm and scaled back.  Operator norms are
-exact dense SVD norms.
+still enumerate their family, through `_enumerated_sum`: the one
+kappa_pi-weighted sum over a partition family that the brute-force oracle
+also takes, a plain family's members contracted by one ring walk.
+Moments are summed for the family scaled to unit norm and scaled back.
+Operator norms are exact dense SVD norms.
 """
 
 from __future__ import annotations
@@ -49,13 +51,13 @@ from . import families
 from .families import enumerate_ncstar, enumerate_ncdm
 from .cumulants import (
     CumulantSpec,
+    alternating_word,
     c_norm_2,
     c_norm_2m,
     c_operator_norm,
     holo_word,
     kappa_pi,
     plain_word,
-    rdiag_block_weight,
 )
 
 ASSIGNMENT_CAP = 10_000_000
@@ -703,6 +705,31 @@ def _weighted_sum(members, weight_of, trace_of) -> complex:
     return total
 
 
+def _enumerated_sum(a, spec: CumulantSpec, members, word) -> complex:
+    """Sum of kappa_pi(spec, p, word) times the trace sum of p over the
+    members of nonzero weight, in the order they come.
+
+    A plain family's members are contracted by one _ring_walk, which
+    contracts each ring prefix that consecutive members share once; each
+    member's ASSIGNMENT_CAP is checked before its einsums, and every trace
+    sum is == to trace_sum_complex's.  A star family's members go through
+    trace_sum_star_complex; in its alternating word every block of an
+    even-block non-crossing partition alternates stars, so kappa_pi weighs
+    each block alpha_(|V|/2), as rdiag_block_weight does.
+    """
+    if isinstance(a, StarCoefficientFamily):
+        return _weighted_sum(members, lambda p: kappa_pi(spec, p, word),
+                             lambda p: trace_sum_star_complex(a, p))
+    groups = _group_tensors(a)
+    walk = _ring_walk(a.d, len(word) // (2 * a.d), lambda j: groups[j % 2])
+
+    def trace_of(p: Partition) -> complex:
+        _check_assignment_cap(a, p)
+        return walk(p)
+
+    return _weighted_sum(members, lambda p: kappa_pi(spec, p, word), trace_of)
+
+
 def _enumerate_instead(a, spec: CumulantSpec, m: int, enumeration_cap: int) -> bool:
     """Whether a moment past MOMENT_DP_CAP is still within the enumeration
     cap of its family.  The large-d cells there have dense tensors small
@@ -724,17 +751,19 @@ def _holo_sum(a: CoefficientFamily, spec: CumulantSpec, m: int) -> complex:
             (key, (False,) * a.d): mat for key, mat in a.entries.items()})
     if not _enumerate_instead(summed, spec, m, families.STAR_ENUMERATION_CAP):
         return planar_sum(summed, spec, m)
-    word = holo_word(a.d, m)
-    return _weighted_sum(enumerate_ncstar(GridShape(a.d, m)),
-                         lambda p: kappa_pi(spec, p, word),
-                         lambda p: trace_sum_complex(a, p))
+    return _enumerated_sum(a, spec, enumerate_ncstar(GridShape(a.d, m)), holo_word(a.d, m))
+
+
+def _check_plain(a, what: str) -> None:
+    """Raises ValueError for a star family: what is named takes a plain family."""
+    if isinstance(a, StarCoefficientFamily):
+        raise ValueError("%s take a plain family, not a star family" % what)
 
 
 def _check_plain_moment(a, m: int, moments: str) -> None:
     """Raises ValueError for a star family and for m < 1: the moments
     named take a plain family and m >= 1."""
-    if isinstance(a, StarCoefficientFamily):
-        raise ValueError("%s moments take a plain family, not a star family" % moments)
+    _check_plain(a, moments + " moments")
     if m < 1:
         raise ValueError("need m >= 1")
 
@@ -753,8 +782,9 @@ def holo_moment(a: CoefficientFamily, spec: CumulantSpec, m: int) -> float:
     planar_sum too.  So does the star_table hook, on the family lifted to
     a star family with every star unstarred, whose 2r letters make the
     bonds wider.  A moment past MOMENT_DP_CAP but within the star-family
-    cap keeps the enumerated sum.  The sum runs at unit norm; past the
-    float range the power is math.inf.  Raises ValueError for m < 1 and for
+    cap is the _enumerated_sum of the star family in the holomorphic word,
+    on the plain family itself, with no lift.  The sum runs at unit norm;
+    past the float range the power is math.inf.  Raises ValueError for m < 1 and for
     a star family.
     """
     return _rescaled(*_holo_unit_moment(a, spec, m), m)
@@ -808,13 +838,8 @@ def _check_adjacent_support(a: CoefficientFamily) -> None:
 def _nonholo_sum(a, spec: CumulantSpec, m: int) -> complex:
     if not _enumerate_instead(a, spec, m, families.INTERVAL_ENUMERATION_CAP):
         return planar_sum(a, spec, m)
-    members = enumerate_ncdm(GridShape(a.d, m))
-    if isinstance(a, StarCoefficientFamily):
-        return _weighted_sum(members, lambda p: rdiag_block_weight(spec, p),
-                             lambda p: trace_sum_star_complex(a, p))
-    word = plain_word(2 * a.d * m)
-    return _weighted_sum(members, lambda p: kappa_pi(spec, p, word),
-                         lambda p: trace_sum_complex(a, p))
+    word = alternating_word if isinstance(a, StarCoefficientFamily) else plain_word
+    return _enumerated_sum(a, spec, enumerate_ncdm(GridShape(a.d, m)), word(2 * a.d * m))
 
 
 def _nonholo_unit_moment(a, spec: CumulantSpec, m: int) -> tuple:
@@ -837,8 +862,10 @@ def nonholo_moment(a, spec: CumulantSpec, m: int) -> float:
     on reduced words.  On these supports every non-crossing partition that
     links an interval to itself contributes 0, so planar_sum gives the
     family's sum.  A moment past MOMENT_DP_CAP but within the
-    interval-family cap enumerates it.  The sum runs at unit norm; past the
-    float range the power is math.inf.  Raises ValueError for m < 1 and for
+    interval-family cap is the _enumerated_sum of the interval-avoiding
+    family, in the plain word for a plain family and in the alternating
+    word for a star family.  The sum runs at unit norm; past the float
+    range the power is math.inf.  Raises ValueError for m < 1 and for
     a star family under a preset without a determining sequence.
     """
     return _rescaled(*_nonholo_unit_moment(a, spec, m), m)

@@ -6,14 +6,15 @@ d*m is lossless for vacuum moments of 2m factors), exact convolution in the
 group algebra of a free group for the unitary case, and a brute-force moment
 sum over the non-crossing partitions of the word positions whose blocks all
 carry a nonzero cumulant (every other member weighs 0; the tests check this
-support against kappa_pi over all of NC(n)).  The brute-force sum contracts
-its members in one ring walk (matrices._ring_walk), which contracts each
-ring prefix that consecutive members share once; every trace sum is == to
+support against kappa_pi over all of NC(n)).  The brute-force sum is
+matrices._enumerated_sum over that support, the same weighted sum that the
+moments past MOMENT_DP_CAP take: one ring walk contracts each ring prefix
+that consecutive members share once, and every trace sum is == to
 trace_sum_complex's.  Each oracle realizes a plain family: all three
 moments raise ValueError for a star family and for m < 1.  The Fock
 realization also gives the operator-norm lower bound: its norm is computed
 exactly, as the largest dense norm over the small blocks into which the
-operator splits.
+operator splits; it too raises ValueError for a star family.
 """
 
 from __future__ import annotations
@@ -23,16 +24,14 @@ from typing import Dict
 
 import numpy as np
 
-from .cumulants import CumulantSpec, _kappa_support, holo_word, kappa_pi, plain_word
+from .cumulants import CumulantSpec, _kappa_support, holo_word, plain_word
 from . import matrices
 from .matrices import (
     CoefficientFamily,
     _check_adjacent_support,
-    _check_assignment_cap,
+    _check_plain,
     _check_plain_moment,
-    _group_tensors,
-    _ring_walk,
-    _weighted_sum,
+    _enumerated_sum,
     operator_norm,
 )
 
@@ -169,8 +168,10 @@ def fock_norm_estimate(a: CoefficientFamily, kind: str = "circular", depth: int 
     is linear in the Fock dimension.  Every block's size is checked against
     DIMENSION_CAP before any is built; the norm is the largest dense norm of
     a block.  Depth 2d already reproduces each block matrix as a compression,
-    so the norm dominates every ||M_l||.
+    so the norm dominates every ||M_l||.  Raises ValueError for a star
+    family.
     """
+    _check_plain(a, "Fock norm estimates")
     if depth is None:
         depth = 2 * a.d
     op = _FamilyOperator(a, kind, depth)
@@ -327,13 +328,13 @@ def brute_moment(spec: CumulantSpec, a: CoefficientFamily, m: int) -> float:
     off the structured families, the trace sum handles the rest.  Only the
     members that cumulants._kappa_support yields are weighed with kappa_pi;
     every other member of NC(2dm) has a block of zero cumulant, so the sum
-    is the one over all of NC(2dm).  The members of nonzero weight are
-    contracted by one matrices._ring_walk in the order they come, which
-    contracts each ring prefix that consecutive members share once; each
-    member's ASSIGNMENT_CAP is checked before its einsums.  Every trace sum
-    is == to trace_sum_complex's, and weight * trace is summed in the
-    support's order.  Raises ValueError for a star family, for m < 1 and
-    past BRUTE_GROUND_CAP.
+    is the one over all of NC(2dm).  It is matrices._enumerated_sum over
+    the support: the members of nonzero weight are contracted by one ring
+    walk in the order they come, which contracts each ring prefix that
+    consecutive members share once; each member's ASSIGNMENT_CAP is checked
+    before its einsums.  Every trace sum is == to trace_sum_complex's, and
+    weight * trace is summed in the support's order.  Raises ValueError for
+    a star family, for m < 1 and past BRUTE_GROUND_CAP.
     """
     _check_plain_moment(a, m, "brute-force")
     n = 2 * a.d * m
@@ -344,13 +345,4 @@ def brute_moment(spec: CumulantSpec, a: CoefficientFamily, m: int) -> float:
         word = plain_word(n)
     else:
         word = holo_word(a.d, m)
-    groups = _group_tensors(a)
-    walk = _ring_walk(a.d, m, lambda j: groups[j % 2])
-
-    def trace_of(p):
-        _check_assignment_cap(a, p)
-        return walk(p)
-
-    total = _weighted_sum(_kappa_support(spec, word), lambda p: kappa_pi(spec, p, word),
-                          trace_of)
-    return total.real
+    return _enumerated_sum(a, spec, _kappa_support(spec, word), word).real

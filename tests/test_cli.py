@@ -1,8 +1,12 @@
+import errno
+import io
 import math
+import os
 
 import numpy as np
 import pytest
 
+from ncfree import cli
 from ncfree.cli import main
 from ncfree.matrices import prime_family, random_family, random_star_family, save_family
 
@@ -390,6 +394,32 @@ def test_enumerate_out_to_a_missing_directory_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "enumerate", "--family", "nc", "--n", "3", "--out", path)
     assert code == 2 and out == ""
     assert err.startswith("enumerate: ") and path in err and "Traceback" not in err
+
+
+class _FullAfter(io.StringIO):
+    """A file that takes `room` writes, then fails every further one as a
+    full disk does."""
+
+    def __init__(self, room):
+        super().__init__()
+        self.room = room
+
+    def write(self, text):
+        if not self.room:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv", [("enumerate", "--family", "nc", "--n", "4"),
+                                  ("verify", "--suite", "counting", "--n", "4")])
+def test_a_write_that_fails_mid_file_exits_2(monkeypatch, tmp_path, capsys, argv):
+    # the header goes through, the first row hits the full disk
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: _FullAfter(1), raising=False)
+    path = str(tmp_path / "x.csv")
+    code, out, err = run(capsys, *argv, "--out", path)
+    assert code == 2 and out == ""
+    assert err == "%s: cannot write --out %s: %s\n" % (argv[0], path, os.strerror(errno.ENOSPC))
 
 
 def test_norm_of_a_family_whose_l2_norm_overflows_exits_2(tmp_path, capsys):

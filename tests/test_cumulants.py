@@ -15,6 +15,7 @@ from ncfree.partitions import (
 )
 from ncfree.symmetry import GridShape
 from ncfree.families import (
+    INTERVAL_ENUMERATION_CAP,
     catalan,
     enumerate_interval_pairings,
     enumerate_ncdm,
@@ -179,6 +180,27 @@ def test_rdiag_block_weight():
     assert rdiag_block_weight(spec, full(4)) == 5
     with pytest.raises(ValueError):
         rdiag_block_weight(spec, full(3))
+
+
+def test_alternating_word_weighs_each_block_as_rdiag_block_weight():
+    # consecutive elements of a block of an even-block non-crossing
+    # partition are an odd step apart, so in the alternating word every
+    # block alternates c, c* and kappa_pi multiplies the same alpha_(|V|/2)
+    specs = [CumulantSpec.circular(), CumulantSpec.haar_unitary(),
+             CumulantSpec.from_name("rdiag:1,-0.5,0.25"),
+             CumulantSpec("haar", cyclic_alternation=False)]
+    cases = 0
+    for d in range(1, 5):
+        for m in range(1, 4):
+            if 2 * d * m > INTERVAL_ENUMERATION_CAP:
+                continue
+            word = alternating_word(2 * d * m)
+            for p in enumerate_ncdm(GridShape(d, m)):
+                for spec in specs:
+                    value, weight = kappa_pi(spec, p, word), rdiag_block_weight(spec, p)
+                    assert type(value) is type(weight) and value == weight, (spec, p)
+                    cases += 1
+    assert cases == 676
 
 
 def test_domination_bound_examples():

@@ -299,7 +299,8 @@ def test_oracle_moments_reject_a_star_family(monkeypatch):
     star = random_star_family(1, 2, 2, np.random.default_rng(0))
     calls = [lambda spec=spec: brute_moment(spec, star, 2) for spec in (
         CumulantSpec.circular(), CumulantSpec.haar_unitary(), CumulantSpec.semicircular())]
-    calls += [lambda: free_group_moment(star, 2), lambda: fock_moment(star, "circular", 2)]
+    calls += [lambda: free_group_moment(star, 2), lambda: fock_moment(star, "circular", 2),
+              lambda: fock_norm_estimate(star)]
     for call in calls:
         with pytest.raises(ValueError, match="take a plain family, not a star family"):
             call()

@@ -316,6 +316,22 @@ def test_past_the_cap_the_old_caps_still_enumerate(monkeypatch):
             moment(a, SPECS["circular"], m)
 
 
+def test_past_the_cap_the_plain_sum_contracts_each_shared_ring_prefix_once(monkeypatch):
+    # the 273 star-family members of nonzero Haar weight at d=1, m=5 take
+    # 10 einsums each when contracted one by one; in enumeration order they
+    # share ring prefixes
+    calls = []
+    real = np.einsum
+    monkeypatch.setattr(matrices, "MOMENT_DP_CAP", 0)
+    monkeypatch.setattr(np, "einsum", lambda *args: calls.append(1) or real(*args))
+    a = random_family(1, 2, 2, np.random.default_rng(0))
+    value = holo_moment(a, SPECS["haar"], 5)
+    assert len(calls) == 1380
+    scale = a.frobenius()
+    reference = _star_family_sum(a.scaled(1 / scale), SPECS["haar"], 5)
+    assert value == reference.real * scale ** 10
+
+
 def test_moments_past_the_float_range_keep_a_finite_norm():
     # the scalar family a = 20^(1/2) on one letter: X = a x, and both the
     # circular and the semicircular 2m-th moment of x is Catalan(m)
