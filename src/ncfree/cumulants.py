@@ -69,6 +69,10 @@ class CumulantSpec:
         self._parsed = kind + (":" + ",".join(map(str, self._alphas)) if kind == "rdiag" else "")
         self.name = self._parsed
 
+    def described(self) -> str:
+        """The name as it was spelled, and as its values were read where that differs."""
+        return self.name + ("" if self._parsed == self.name else " (read as %s)" % self._parsed)
+
     # -- factories ---------------------------------------------------------
 
     @classmethod
@@ -347,9 +351,8 @@ def c_norm_2m(spec: CumulantSpec, m: int) -> float:
     """
     value = c_moment_2m(spec, m)
     if value < 0:
-        name = spec.name + ("" if spec._parsed == spec.name else " (read as %s)" % spec._parsed)
         raise ArithmeticError("%s at m=%d: phi((c c*)^m) = %s is negative, so there is no "
-                              "2m-norm" % (name, m, value))
+                              "2m-norm" % (spec.described(), m, value))
     if isinstance(value, numbers.Rational) and value > 0:
         log = math.log(value.numerator) - math.log(value.denominator)
         return math.exp(log / (2 * m))

@@ -14,7 +14,9 @@ contracted once.  A star family's tensor runs over the
 doubled alphabet of 2r letters, letter 2(k - 1) + e for index k with star
 bit e, so block matrices, trace sums and moments read it as they read a
 plain family's tensor: a block's phase is part of its letter, and star
-conjugation is the letter swap l ^ 1.
+conjugation is the letter swap l ^ 1.  Plain and star trace sums share one
+body; a star family's groups read the letters of their odd-rank positions
+through that swap.
 
 A moment is a cumulant-weighted sum of trace sums over every non-crossing
 partition, and `planar_sum` evaluates it without enumerating any: each
@@ -30,7 +32,8 @@ a block, the inverse of the letter below, or nothing below.  Only the few
 large-d cells past MOMENT_DP_CAP but within the old enumeration caps
 still enumerate their family, through `_enumerated_sum`: the one
 kappa_pi-weighted sum over a partition family that the brute-force oracle
-also takes, a plain family's members contracted by one ring walk.
+also takes, the members of a plain or a star family contracted by one ring
+walk, each with the group tensors of `_member_tensors`.
 Moments are summed for the family scaled to unit norm and scaled back.
 Operator norms are exact dense SVD norms.
 """
@@ -319,7 +322,8 @@ def _ring_walk(d: int, m: int, tensor_of):
     partitions in order, it contracts each prefix they share once.
 
     Group j (positions jd+1..jd+d) contributes tensor_of(j), subscripted by
-    the blocks of its positions and by the two matrix indices it chains.
+    the blocks of its positions and by the two matrix indices it chains;
+    a call may pass its own tensor_of, which defaults to the walk's.
     Walking the groups in ring order carries T_j[i0, i, blocks still open],
     from T_0 = eye(alpha): group j is one two-operand einsum from T_j to
     T_(j+1), which sums out every block whose last position lies in the
@@ -329,23 +333,28 @@ def _ring_walk(d: int, m: int, tensor_of):
 
     The walk keeps T_0 .. T_2m of the partition it was last called on.  The
     einsum of group j reads T_j, the blocks open going in, the group's block
-    ids and the blocks open going out.  These agree on groups 0..j-1 exactly
-    when the two partitions agree on positions 1..jd in their block ids and
-    in which positions end a block.  (Where the ids agree on a group but a
-    block ends there in one partition only, the other has that block at a
-    later position, which lies in a later group, as the ids would differ
-    otherwise; so the blocks open going out differ.)  From the first group
-    that differs the walk runs the same einsums on the same operands as a
-    fresh walk, so every trace sum is == to a fresh walk's.  The matrix
-    indices take the labels above every block id, whatever the block count,
-    so that partitions with different block counts share prefixes.
+    ids, the blocks open going out and tensor_of(j).  The first four agree
+    on groups 0..j-1 exactly when the two partitions agree on positions
+    1..jd in their block ids and in which positions end a block.  (Where the
+    ids agree on a group but a block ends there in one partition only, the
+    other has that block at a later position, which lies in a later group,
+    as the ids would differ otherwise; so the blocks open going out differ.)
+    The tensors agree there too when each partition's tensor_of(j) depends
+    on the ranks of group j's positions in their blocks only, as a star
+    family's does (_member_tensors): block ids that agree on positions
+    1..jd fix every rank on those positions, so the star swaps of a shared
+    prefix agree.  From the first group that differs the walk runs the same
+    einsums on the same operands as a fresh walk, so every trace sum is ==
+    to a fresh walk's.  The matrix indices take the labels above every
+    block id, whatever the block count, so that partitions with different
+    block counts share prefixes.
     """
     first, here, nxt = 49, 50, 51  # einsum takes labels below 52
     partials = [np.eye(tensor_of(0).shape[-1], dtype=complex)]  # T_0 .. T_j
     opens = [[]]  # the blocks open going into groups 0 .. j
     walked = []  # block id per position of the last partition, ~id where a block ends
 
-    def trace_of(p: Partition) -> complex:
+    def trace_of(p: Partition, tensor_of=tensor_of) -> complex:
         nonlocal walked
         ends = [max(b) for b in p.blocks]
         code = list(p._block_id)
@@ -378,15 +387,48 @@ def _contract(p: Partition, d: int, m: int, tensor_of) -> complex:
     return _ring_walk(d, m, tensor_of)(p)
 
 
+def _member_tensors(a, groups: tuple, swapped: dict, p: Partition):
+    """tensor_of(j) for the trace sum of p over a, from its group tensors.
+
+    Raises ValueError, before any einsum, for a block of odd size in a star
+    family and past ASSIGNMENT_CAP letter assignments.  A plain family's
+    group j contributes groups[j % 2].  In a star family each block gets one
+    letter (k, phase e) of the doubled alphabet, so the sum over letters and
+    phases is a single contraction.  The position of rank q in its block
+    (counted from 0 in position order) carries the star bit e XOR (q mod 2):
+    group j reads the letters of its odd-rank positions through the star
+    swap l ^ 1.  Each swapped tensor is built once in swapped, keyed by the
+    group's parity and those positions, so a sum over any number of members
+    builds at most 2 * 2^d of them.
+    """
+    star = isinstance(a, StarCoefficientFamily)
+    if star and any(len(b) % 2 for b in p.blocks):
+        raise ValueError("star trace sums need even blocks")
+    _check_assignment_cap(a, p)
+    if not star:
+        return lambda j: groups[j % 2]
+    d, odd_rank = a.d, {pos - 1 for b in p.blocks for pos in b[1::2]}
+
+    def tensor_of(j: int) -> np.ndarray:
+        key = (j % 2, tuple(o for o in range(d) if j * d + o in odd_rank))
+        if key not in swapped:
+            swapped[key] = _swap_stars(groups[j % 2], key[1])
+        return swapped[key]
+
+    return tensor_of
+
+
+def _trace_sum(a, p: Partition) -> complex:
+    g = _grid_of(a, p)
+    return _contract(p, g.d, g.m, _member_tensors(a, _group_tensors(a), {}, p))
+
+
 def trace_sum_complex(a: CoefficientFamily, p: Partition) -> complex:
     """Trace sum of a partition: one alphabet value per block, groups of d
     positions contributing a, then the conjugate-transposed reversed family,
     alternately around the trace.  Raises ValueError past ASSIGNMENT_CAP
     letter assignments, read when the function is called."""
-    g = _grid_of(a, p)
-    _check_assignment_cap(a, p)
-    groups = _group_tensors(a)
-    return _contract(p, g.d, g.m, lambda j: groups[j % 2])
+    return _trace_sum(a, p)
 
 
 def trace_sum(a: CoefficientFamily, p: Partition) -> float:
@@ -400,34 +442,12 @@ def trace_sum_star_complex(a: StarCoefficientFamily, p: Partition) -> complex:
     phases, and even groups contribute the conjugate-transposed family with
     indices reversed and stars conjugated.
 
-    Each block gets one letter (k, phase e) of the family's doubled
-    alphabet, so the sum over letters and phases is a single contraction.
-    The position of rank q in its block (counted from 0 in position order)
-    carries the star bit e XOR (q mod 2): a group's tensor reads the letters
-    of its odd-rank positions through the star swap l ^ 1.  At most
-    2 * 2^d such tensors are built per call.  Raises ValueError for a block
-    of odd size and past ASSIGNMENT_CAP, read when the function is called.
+    The same body as trace_sum_complex: _member_tensors reads the phases as
+    star swaps of the group tensors, at most 2 * 2^d of them per call.
+    Raises ValueError for a block of odd size and past ASSIGNMENT_CAP, read
+    when the function is called.
     """
-    g = _grid_of(a, p)
-    if any(len(b) % 2 for b in p.blocks):
-        raise ValueError("star trace sums need even blocks")
-    _check_assignment_cap(a, p)
-    d = g.d
-    groups = _group_tensors(a)
-    odd_rank = [0] * p.n
-    for b in p.blocks:
-        for pos in b[1::2]:
-            odd_rank[pos - 1] = 1
-
-    swapped = {}
-
-    def tensor_of(j: int) -> np.ndarray:
-        key = (j % 2, tuple(o for o in range(d) if odd_rank[j * d + o]))
-        if key not in swapped:
-            swapped[key] = _swap_stars(groups[j % 2], key[1])
-        return swapped[key]
-
-    return _contract(p, d, g.m, tensor_of)
+    return _trace_sum(a, p)
 
 
 def trace_sum_star(a: StarCoefficientFamily, p: Partition) -> float:
@@ -709,25 +729,19 @@ def _enumerated_sum(a, spec: CumulantSpec, members, word) -> complex:
     """Sum of kappa_pi(spec, p, word) times the trace sum of p over the
     members of nonzero weight, in the order they come.
 
-    A plain family's members are contracted by one _ring_walk, which
-    contracts each ring prefix that consecutive members share once; each
-    member's ASSIGNMENT_CAP is checked before its einsums, and every trace
-    sum is == to trace_sum_complex's.  A star family's members go through
-    trace_sum_star_complex; in its alternating word every block of an
-    even-block non-crossing partition alternates stars, so kappa_pi weighs
-    each block alpha_(|V|/2), as rdiag_block_weight does.
+    The members of a plain or a star family are contracted by one
+    _ring_walk, each with its own tensor_of from _member_tensors, which
+    checks it before its einsums and shares the star-swapped tensors of the
+    whole sum; the walk contracts each ring prefix that consecutive members
+    share once, and every trace sum is == to trace_sum_complex's or
+    trace_sum_star_complex's.  In a star family's alternating word every
+    block of an even-block non-crossing partition alternates stars, so
+    kappa_pi weighs each block alpha_(|V|/2), as rdiag_block_weight does.
     """
-    if isinstance(a, StarCoefficientFamily):
-        return _weighted_sum(members, lambda p: kappa_pi(spec, p, word),
-                             lambda p: trace_sum_star_complex(a, p))
-    groups = _group_tensors(a)
+    groups, swapped = _group_tensors(a), {}
     walk = _ring_walk(a.d, len(word) // (2 * a.d), lambda j: groups[j % 2])
-
-    def trace_of(p: Partition) -> complex:
-        _check_assignment_cap(a, p)
-        return walk(p)
-
-    return _weighted_sum(members, lambda p: kappa_pi(spec, p, word), trace_of)
+    return _weighted_sum(members, lambda p: kappa_pi(spec, p, word),
+                         lambda p: walk(p, _member_tensors(a, groups, swapped, p)))
 
 
 def _enumerate_instead(a, spec: CumulantSpec, m: int, enumeration_cap: int) -> bool:
@@ -822,9 +836,15 @@ def holo_rhs_bound(a, spec: CumulantSpec, m: int = None) -> float:
 
 def _rdiag_factor(spec: CumulantSpec, d: int, m) -> float:
     """4^5 ||c||_2^(d-2) ||c||_p^2 for p = 2m, or the operator norm of c when
-    m is None: the constant of both R-diagonal bounds."""
+    m is None: the constant of both R-diagonal bounds.  Raises
+    ArithmeticError, naming the spec, when ||c||_2 = 0 and d = 1, where
+    ||c||_2^(d-2) has no value."""
     cp = c_operator_norm(spec) if m is None else c_norm_2m(spec, m)
-    return 4 ** 5 * c_norm_2(spec) ** (d - 2) * cp ** 2
+    c2 = c_norm_2(spec)
+    if not c2 and d < 2:
+        raise ArithmeticError("%s: ||c||_2 = 0, so ||c||_2^(d-2) has no value at d=%d"
+                              % (spec.described(), d))
+    return 4 ** 5 * c2 ** (d - 2) * cp ** 2
 
 
 def _check_adjacent_support(a: CoefficientFamily) -> None:

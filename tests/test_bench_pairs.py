@@ -1,7 +1,11 @@
-"""The summary of tools/bench_pairs.py on hand-made runs."""
+"""The summary of tools/bench_pairs.py on hand-made runs, and its pairs on
+archives of the commits of a throwaway git repository."""
 
 import argparse
 import importlib.util
+import json
+import subprocess
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -66,3 +70,62 @@ def test_plan_parsing():
     for bad in ("exact", "exact=0", "=3", "exact=x"):
         with pytest.raises(argparse.ArgumentTypeError):
             bench_pairs.parse_plan([bad])
+
+
+# a stand-in for the harness: its wall time is the number in wall.txt of
+# the checkout it runs in, and it leaves a record under benchmarks/out/
+FAKE_RUN = """import json, os
+os.makedirs("benchmarks/out", exist_ok=True)
+open("benchmarks/out/run.json", "w").close()
+wall = float(open("wall.txt").read())
+metrics = {name: {"value": value} for name, value in
+           (("wall_s", wall), ("setup_s", 0.125), ("peak_rss_mb", 30.0))}
+print("progress")
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}))
+"""
+
+
+def _git(repo, *args):
+    return subprocess.run(["git", "-C", str(repo), "-c", "user.name=bench",
+                           "-c", "user.email=bench@example.com", *args],
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
+def _repo_with_two_commits(root):
+    (root / "benchmarks").mkdir(parents=True)
+    (root / "benchmarks" / "run.py").write_text(FAKE_RUN)
+    _git(root, "init", "-q")
+    for wall in ("0.5", "0.25"):
+        (root / "wall.txt").write_text(wall)
+        _git(root, "add", "-A")
+        _git(root, "commit", "-q", "-m", "wall " + wall)
+    (root / "wall.txt").write_text("9")  # not committed, so never run
+
+
+def test_pairs_run_in_archives_of_the_named_commits(tmp_path, monkeypatch):
+    repo, temp, out = tmp_path / "repo", tmp_path / "temp", tmp_path / "bench.json"
+    _repo_with_two_commits(repo)
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    monkeypatch.chdir(repo)
+    argv = ["--parent", "HEAD~1", "--change", "HEAD", "--seconds", "1", "--out", str(out),
+            "w=2"]
+    assert bench_pairs.main(argv) == 0
+    record = json.loads(out.read_text())
+    assert record["parent"] == _git(repo, "rev-parse", "HEAD~1")
+    assert record["change"] == _git(repo, "rev-parse", "HEAD")
+    wall = record["summary"]["w seed=20240901"]["wall_s"]
+    assert (wall["parent_median"], wall["change_median"]) == (0.5, 0.25)
+    assert len(record["runs"]) == 4
+    assert list(temp.iterdir()) == []  # both archives removed
+    assert not (repo / "benchmarks" / "out").exists()
+
+
+def test_a_revision_that_names_no_commit_exits_2(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    _repo_with_two_commits(repo)
+    monkeypatch.chdir(repo)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "HEAD~5", "--change", "HEAD", "--out",
+                          str(tmp_path / "bench.json"), "w=1"])
+    assert exc.value.code == 2 and not (tmp_path / "bench.json").exists()

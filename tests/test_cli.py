@@ -543,6 +543,18 @@ def test_norm_over_a_zero_bound_keeps_ratio_inf(tmp_path, monkeypatch, capsys):
     assert out.strip().splitlines()[-1] == "ratio=inf"
 
 
+@pytest.mark.parametrize("spec", ["rdiag:0", "rdiag:0,1"])
+def test_norm_of_a_spec_with_zero_l2_norm_at_d_1_names_the_spec(tmp_path, capsys, spec):
+    # ||c||_2^(d-2) has no value when ||c||_2 = 0 and d = 1
+    path = tmp_path / "fam.txt"
+    path.write_text("1 3 1\n1 1,0\n2 1,0\n3 1,0\n")
+    code, out, err = run(capsys, "norm", "--family-file", str(path), "--spec", spec, "--m", "2")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("norm: %s (read as " % spec)
+    assert "||c||_2 = 0" in lines[0] and "Traceback" not in err
+
+
 def test_norm_negative_moment_error_keeps_the_spec_spelling(tmp_path, capsys):
     path = tmp_path / "fam.txt"
     path.write_text("1 3 1\n1 1,0\n2 1,0\n3 1,0\n")

@@ -691,6 +691,25 @@ def test_ring_walk_equals_the_one_member_contraction(d, m, order):
         assert type(value) is type(alone) and value == alone, p
 
 
+@pytest.mark.parametrize("order", ["enumeration", "reversed", "repeated"])
+@pytest.mark.parametrize("d,m", [(1, 3), (1, 4), (2, 2)])
+def test_star_ring_walk_equals_the_one_member_star_trace_sum(d, m, order):
+    # one walk over a star family's members, each with its own star swaps,
+    # shares ring prefixes yet gives each member's trace sum exactly
+    from ncfree.matrices import _group_tensors, _member_tensors, _ring_walk
+
+    a = random_star_family(d, 2, 2, np.random.default_rng(90 + 10 * d + m))
+    groups, swapped = _group_tensors(a), {}
+    members = [p for p in all_set_partitions(2 * d * m)  # crossing ones included
+               if all(len(b) % 2 == 0 for b in p.blocks)]
+    walk = _ring_walk(d, m, lambda j: groups[j % 2])
+    for p in _walk_orders(members)[order]:
+        value = walk(p, _member_tensors(a, groups, swapped, p))
+        alone = trace_sum_star_complex(a, p)
+        assert type(value) is type(alone) and value == alone, p
+    assert len(swapped) <= 2 * 2 ** d
+
+
 @pytest.mark.parametrize("m", [0, -1])
 def test_moments_need_m_at_least_1(m):
     circ, semi = CumulantSpec.circular(), CumulantSpec.semicircular()

@@ -332,6 +332,21 @@ def test_past_the_cap_the_plain_sum_contracts_each_shared_ring_prefix_once(monke
     assert value == reference.real * scale ** 10
 
 
+def test_past_the_cap_the_star_sum_contracts_each_shared_ring_prefix_once(monkeypatch):
+    # the star family's even-block members at d=1, m=4 under Haar take 440
+    # einsums when contracted one by one; one walk shares their ring prefixes
+    calls = []
+    real = np.einsum
+    monkeypatch.setattr(matrices, "MOMENT_DP_CAP", 0)
+    monkeypatch.setattr(np, "einsum", lambda *args: calls.append(1) or real(*args))
+    a = random_star_family(1, 2, 2, np.random.default_rng(0))
+    value = nonholo_moment(a, SPECS["haar"], 4)
+    assert len(calls) == 241
+    scale = a.frobenius()
+    reference = _interval_sum(a.scaled(1 / scale), SPECS["haar"], 4)
+    assert value == reference.real * scale ** 8
+
+
 def test_moments_past_the_float_range_keep_a_finite_norm():
     # the scalar family a = 20^(1/2) on one letter: X = a x, and both the
     # circular and the semicircular 2m-th moment of x is Catalan(m)

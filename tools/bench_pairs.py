@@ -1,30 +1,37 @@
-"""Compare two checkouts with paired runs of the benchmark harness.
+"""Compare two commits with paired runs of the benchmark harness.
 
-Each pair runs ``benchmarks/run.py`` once in the parent checkout and once in
-the change checkout, in a fresh process with the checkout as working
-directory, and alternates which side goes first.  The summary has, per
-workload and end-to-end metric, the medians and the lower and upper
-quartiles of both sides, the relative change of the medians, the
-interquartile range of the parent's runs, and the number of pairs the
-change won, along with the failed and attempted case counts.  Every run's
-last-line JSON is kept under "runs".  Standard library only.
+Each revision is resolved to its commit id in the git repository of the
+working directory, and its ``git archive`` is extracted into a temporary
+directory, which is removed at the end.  Each pair runs
+``benchmarks/run.py`` once in the parent's directory and once in the
+change's, in a fresh process with that directory as working directory,
+and alternates which side goes first.  The summary has, per workload and
+end-to-end metric, the medians and the lower and upper quartiles of both
+sides, the relative change of the medians, the interquartile range of the
+parent's runs, and the number of pairs the change won, along with the
+failed and attempted case counts.  The record names both commit ids, and
+every run's last-line JSON is kept under "runs".  Standard library only.
 
-Run from anywhere, with one WORKLOAD=PAIRS argument per workload::
+Run from inside the repository, with one WORKLOAD=PAIRS argument per
+workload::
 
-    python3 tools/bench_pairs.py --parent ../parent --change ../change \\
+    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD \\
         --seconds 30 --out BENCH.json exact=6 holo=2 nonholo=2 oracles=2
 
-The harness writes its own records under benchmarks/out/ of each checkout,
-so point both sides at checkouts made for the comparison.
+Only committed files are compared.  For an A/A control, give the same
+revision twice.
 """
 
 import argparse
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")  # all lower is better
 
@@ -38,10 +45,20 @@ def run_side(root, workload, seed, seconds):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def commit_of(root):
-    done = subprocess.run(["git", "-C", root, "rev-parse", "HEAD"], capture_output=True,
-                          text=True)
-    return done.stdout.strip() or None
+def commit_of(revision):
+    """The commit id of revision in the git repository of the working directory."""
+    done = subprocess.run(["git", "rev-parse", "--verify", "--quiet", revision + "^{commit}"],
+                          capture_output=True, text=True)
+    if done.returncode:
+        raise ValueError("%r names no commit" % revision)
+    return done.stdout.strip()
+
+
+def extract(commit, root):
+    """Extract the git archive of commit into the directory root."""
+    archive = subprocess.run(["git", "archive", commit], capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(root, filter="data")
 
 
 def quartiles(values):
@@ -84,10 +101,27 @@ def parse_plan(specs):
     return plan
 
 
+def pair_runs(plan, roots, seed, seconds):
+    """Every run of the plan, in the directories roots["parent"] and roots["change"]."""
+    runs = []
+    for workload, pairs in plan:
+        for pair in range(pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = run_side(roots[side], workload, seed, seconds)
+                runs.append({"workload": workload, "seed": seed, "trace": 0,
+                             "pair": pair, "side": side, "first": order[0],
+                             "result": result})
+                print("%s pair %d %s: wall_s %.4f failed %d" % (
+                    workload, pair, side, result["metrics"]["wall_s"]["value"],
+                    result["failed"]), file=sys.stderr)
+    return runs
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
-    parser.add_argument("--change", required=True, help="checkout of the change")
+    parser.add_argument("--parent", required=True, help="revision of the parent commit")
+    parser.add_argument("--change", required=True, help="revision of the change")
     parser.add_argument("--seed", type=int, default=20240901)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", required=True, help="summary JSON to write")
@@ -96,22 +130,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         plan = parse_plan(args.plan)
-    except argparse.ArgumentTypeError as exc:
+        commits = {"parent": commit_of(args.parent), "change": commit_of(args.change)}
+    except (argparse.ArgumentTypeError, ValueError) as exc:
         parser.error(str(exc))
-    roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-
-    runs = []
-    for workload, pairs in plan:
-        for pair in range(pairs):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                result = run_side(roots[side], workload, args.seed, args.seconds)
-                runs.append({"workload": workload, "seed": args.seed, "trace": 0,
-                             "pair": pair, "side": side, "first": order[0],
-                             "result": result})
-                print("%s pair %d %s: wall_s %.4f failed %d" % (
-                    workload, pair, side, result["metrics"]["wall_s"]["value"],
-                    result["failed"]), file=sys.stderr)
+    with tempfile.TemporaryDirectory() as parent, tempfile.TemporaryDirectory() as change:
+        roots = {"parent": parent, "change": change}
+        for side, root in roots.items():
+            extract(commits[side], root)
+        runs = pair_runs(plan, roots, args.seed, args.seconds)
 
     summary = {"%s seed=%d" % (workload, args.seed):
                summarize([r for r in runs if r["workload"] == workload])
@@ -120,8 +146,8 @@ def main(argv=None):
         "what": args.what,
         "command": "python3 benchmarks/run.py --workload <workload> --seed %d --seconds %g "
                    "--trace 0" % (args.seed, args.seconds),
-        "parent": commit_of(roots["parent"]),
-        "change": commit_of(roots["change"]),
+        "parent": commits["parent"],
+        "change": commits["change"],
         "host": "%d CPUs, Python %s" % (os.cpu_count(), platform.python_version()),
         "method": "pairs of runs of the parent and the change, alternating which side runs "
                   "first; the last-line JSON of each run is under runs",
