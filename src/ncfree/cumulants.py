@@ -24,6 +24,7 @@ partitions.NC_ENUMERATION_CAP).
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from typing import Callable, Iterator, Sequence, Tuple
@@ -103,8 +104,8 @@ class CumulantSpec:
         one-index block in element order.
 
         The table must be a pure function of the pattern: enumerated moments
-        call it once for every candidate block of each segment, mixed-index
-        blocks aside, and keep each segment's choices for reuse.  The planar
+        call it once for each star pattern they meet, and keep the value for
+        every block of that pattern after that.  The planar
         recursion of matrices.planar_sum calls it once per even block size
         and first star bit, on the pattern that alternates from that bit (on
         the unstarred pattern alone in a plain family's plain word).
@@ -208,6 +209,22 @@ def _kappa_support(spec: CumulantSpec, word: Sequence[Letter]) -> Iterator[Parti
     return enumerate_nc_constrained(n, extend_ok, complete_ok)
 
 
+def _stored_block_values(spec: CumulantSpec) -> CumulantSpec:
+    """A copy of spec whose block_value computes the value of each star
+    pattern once and reads it from a dict of the copy's own after that, so
+    that _kappa_support and kappa_pi share it over one enumerated sum."""
+    values = {}
+
+    def block_value(pattern: tuple):
+        if pattern not in values:
+            values[pattern] = spec.block_value(pattern)
+        return values[pattern]
+
+    stored = copy.copy(spec)
+    stored.block_value = block_value
+    return stored
+
+
 def rdiag_block_weight(spec: CumulantSpec, p: Partition):
     """Product of alternating cumulants alpha_{|V|/2} over the blocks of p.
 
@@ -240,7 +257,7 @@ def moment_from_cumulants(spec: CumulantSpec, word: Sequence[Letter]):
     value = _one_index_moment(spec, word)
     if value is not None:
         return value
-    total = 0
+    total, spec = 0, _stored_block_values(spec)
     for p in _kappa_support(spec, word):
         total += kappa_pi(spec, p, word)
     return total

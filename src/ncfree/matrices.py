@@ -23,7 +23,9 @@ partition, and `planar_sum` evaluates it without enumerating any: each
 group tensor is split into d site tensors, and one interval recursion over
 the 2dm positions (the block of the first position closes at some q, the
 gaps and the rest are smaller intervals) sums the planar contraction in
-polynomial time.  A block of 2s elements weighs the cumulant of its star
+polynomial time.  The site tensors repeat with period 2d around the ring,
+so the recursion appends a position to an open block in every period at
+once, by one matmul with a period matrix of the ring.  A block of 2s elements weighs the cumulant of its star
 pattern, read from one table by size and first letter.  Its tables carry
 a letter context.  The circular, semicircular, rdiag: and star_table
 presets need one.  Haar takes Kesten's first-return form, pairs of weight
@@ -490,13 +492,20 @@ class _Ring:
     legs twice as wide, over the letters (k, star) = 2k + star, and each
     group fills only its own star.  Under the self-adjoint presets, the
     semicircle and star_table, a plain family is read in the plain word:
-    every element unstarred, legs L wide, as a star family's are.  The bond at
-    boundary p (before position p) is alpha * L^min(o, d - o) for
+    every element unstarred, legs L wide, as a star family's are.  The legs
+    are a grid (k, star bit), with one star bit in the plain word.  The bond
+    at boundary p (before position p) is alpha * L^min(o, d - o) for
     o = p mod d, so it is alpha between groups.  The recursion keeps one
     table per parity of boundary: boundary p owns rows and columns
     at[p] .. at[p] + bond[p] of table p % 2, so the boundaries p, p + 2, ..,
-    up to n are the suffix of that table from at[p].  fill then stores
-    position p's site p mod 2d as legs (letter, left bond, right bond).
+    up to n are the suffix of that table from at[p].  The bonds repeat with
+    period 2d, so each table is m whole periods of period[p % 2] columns,
+    with at[p + 2d] = at[p] + period[p % 2], and table 0 ends in the last
+    boundary n.  fill stores one period matrix per parity and letter:
+    block (slot of c, slot of c + 1) holds the legs (left bond, right bond)
+    of class c = p mod 2d, and legs[c] is that block.  Parity 1's columns
+    start at boundary 2, one slot (alpha columns) late, so that its last
+    class feeds class 0 of the next period.
     """
 
     def __init__(self, a, spec: CumulantSpec, m: int):
@@ -505,24 +514,28 @@ class _Ring:
         self.plain_word = not star and spec.kind in ("semicircle", "star_table")
         self.pairs_only = self.plain_word and spec.kind == "semicircle"
         self.width = self.letters if star or self.plain_word else 2 * self.letters
+        self.stars = 1 if self.plain_word else 2
         # _prefix[c] (c < 2d + 2): the summed bonds of the boundaries c - 2,
         # c - 4, .. >= 0; the bonds repeat with period 2d, which keeps the
         # parity, so _at needs no more
         self._prefix = [0, 0]
         for c in range(2, 2 * self.d + 2):
             self._prefix.append(self._prefix[c - 2] + self._bond(c - 2))
+        self.period = self._prefix[2 * self.d:]
         self.size = (self._at(self.n + 2), self._at(self.n + 1))  # n is even
-        tables = self.size[0] ** 2 + self.size[1] ** 2
-        if spec.kind == "haar":
-            # one pair of tables per letter context; its open blocks are
-            # pairs, small beside them
-            self.entries = (self.width + 1) * tables
-        else:
-            # one context; a step holds up to four arrays like the open
-            # blocks H (H, its product with a table, a class of columns of
-            # that and its image), each a table wide for every letter and row
-            # of the largest bond
-            self.entries = tables + 4 * self.width * self._bond(self.d // 2) * max(self.size)
+        # a letter context per letter (Haar's) and one more, else one; and
+        # the block sizes weighed: Haar's pairs, else every size up to dm
+        contexts, sizes = (self.width + 1, 1) if spec.kind == "haar" else (1, self.n // 2)
+        # the two interval tables per context; at most four arrays like the
+        # open blocks at once (H and its product with a table or its step,
+        # the blocks closed into each context and their sum), each a table
+        # wide for every letter or context and row of the largest bond; the
+        # two period matrices; the context mask, the block weights and
+        # their products with the mask
+        self.entries = (contexts * (self.size[0] ** 2 + self.size[1] ** 2)
+                        + 4 * max(self.width, contexts) * self._bond(self.d // 2) * max(self.size)
+                        + 2 * self.width * self.period[0] * self.period[1]
+                        + (1 + 2 * sizes) * contexts * self.width)
 
     def _bond(self, p: int) -> int:
         o = p % self.d
@@ -531,92 +544,119 @@ class _Ring:
     def _at(self, p: int) -> int:
         """The summed bonds of the boundaries p - 2, p - 4, .. >= 0."""
         periods, c = divmod(p, 2 * self.d)
-        return periods * self._prefix[2 * self.d + p % 2] + self._prefix[c]
+        return periods * self.period[p % 2] + self._prefix[c]
 
     def fill(self, groups: tuple) -> None:
-        """The legs, from the odd and even group tensors."""
+        """The period matrices and the legs in them, from the odd and even
+        group tensors."""
         n, d = self.n, self.d
         # two empty boundaries past n end the suffixes of both parities
         self.bond = np.array([self._bond(p) for p in range(n + 1)] + [0, 0])
         self.at = np.array([self._at(p) for p in range(n + 3)])
+        self.periods = [np.zeros((self.width, self.period[e], self.period[1 - e]), dtype=complex)
+                        for e in (0, 1)]
         self.legs = []
         for j, group in enumerate(groups):
             own = slice(j, None, 2) if self.width > self.letters else slice(None)
             for s in _split_group(group):
-                legs = np.zeros((self.width, s.shape[0], s.shape[2]), dtype=complex)
+                c = len(self.legs)
+                row, col = self._prefix[c], self._prefix[c + 1] - c % 2 * self.alpha
+                legs = self.periods[c % 2][:, row:row + s.shape[0], col:col + s.shape[2]]
                 legs[own] = s.transpose(1, 0, 2)
                 self.legs.append(legs)
-        # only these letters open a block at a position of the class
-        self.live = [np.flatnonzero(legs.any(axis=(1, 2))) for legs in self.legs]
-        # the table columns of every position q of class c and of q + 1
-        self.cols = []
-        for c in range(2 * d):
-            qs = np.arange(c, n, 2 * d)
-            self.cols.append((self.at[qs][:, None] + np.arange(self.bond[c]),
-                              self.at[qs + 1][:, None] + np.arange(self.bond[c + 1])))
 
-    def step(self, G: np.ndarray, q0: int, letters: np.ndarray) -> np.ndarray:
-        """Append one position: G[j, .., boundary q] -> H[j, .., boundary q + 1]
-        for the positions q = q0, q0 + 2, .. < n, through the leg letters[j]
-        of each.  G and H span the suffixes from q0 and q0 + 1."""
-        period = 2 * self.d
-        H = np.zeros(G.shape[:-1] + (self.size[(q0 + 1) % 2] - self.at[q0 + 1],), dtype=complex)
-        for c in range(q0 % 2, period, 2):
-            first = max(0, -((c - q0) // period))
-            src, dst = self.cols[c][0][first:], self.cols[c][1][first:]
-            if len(src):
-                H[..., dst - self.at[q0 + 1]] = (G[..., src - self.at[q0]]
-                                                 @ self.legs[c][letters][:, None])
-        return H
+    def star_bits(self, c: int) -> tuple:
+        """The star bits of the letters that open a block at a position of
+        class c, and of their flips l ^ 1, as slices of the star axis."""
+        if self.stars == 1:
+            return slice(None), slice(None)
+        if self.width > self.letters:
+            g = c // self.d
+            return slice(g, g + 1), slice(1 - g, 2 - g)
+        return slice(None), slice(None, None, -1)
+
+    def first(self, p: int) -> int:
+        """The first column of the period of boundary p in its table."""
+        return p // (2 * self.d) * self.period[p % 2]
+
+    def image(self, p: int) -> int:
+        """The first column of a step's image at boundary p: that of the
+        period of p - 1, one slot late in table 0."""
+        return (p - 1) // (2 * self.d) * self.period[p % 2] + (1 - p % 2) * self.alpha
+
+    @staticmethod
+    def step(G: np.ndarray, period: np.ndarray) -> np.ndarray:
+        """Append one position in every period: G[.., row, K periods of one
+        parity's boundaries] -> H[.., row, their images at the other parity],
+        one matmul by the period matrix period[..] of each leading index."""
+        H = G.reshape(G.shape[:-2] + (-1, period.shape[-2])) @ period
+        return H.reshape(G.shape[:-1] + (-1,))
 
 
-def _interval_dp(ring: _Ring, flip: np.ndarray, alphas: np.ndarray, allowed: np.ndarray,
-                 inner: np.ndarray) -> complex:
+def _interval_dp(ring: _Ring, alphas: np.ndarray, allowed: np.ndarray) -> complex:
     """Sum over the even-block non-crossing partitions of the ring's positions.
 
     A block of 2s elements carries one letter l and weighs alphas[s-1, l];
     its elements of even rank (counted from 0) use leg l and those of odd
-    rank leg flip[l].  F[c][i, e] sums the partitions of positions i..e-1 in
-    letter context c, which vanishes unless e - i is even: a block of letter
-    l counts in context c with weight allowed[c, l], the gap after its first
-    element is read in context inner[l], its later gaps in context 0, and
-    the rest of the interval in c again.  The last context is the ring's.
-    Going back from the last position, H holds the open block of i by letter
-    and boundary after its last element, every gap filled, and B the closed
-    blocks weighed into each context.
+    rank leg l ^ 1 (leg l in the plain word).  F[c][i, e] sums the
+    partitions of positions i..e-1 in letter context c, which vanishes
+    unless e - i is even: a block of letter l counts in context c with
+    weight allowed[c, l], its later gaps are read in context 0 and the rest
+    of the interval in c again.  With one context its first gap is read in
+    context 0 too; with more (Kesten's, for Haar) context l forbids the
+    letter l, and the first gap is read in context l ^ 1.  The last context
+    is the ring's.  Going back from the last position, H holds the open
+    block of i by letter grid and boundary after its last element, every
+    gap filled, over whole periods from the period of that boundary, whose
+    columns before it are 0 (F[i, e] = 0 for e < i); B holds the closed
+    blocks weighed into each context, from the first that closes.
     """
-    n, at, bond = ring.n, ring.at, ring.bond
-    F = [np.zeros((len(allowed), size, size), dtype=complex) for size in ring.size]
+    n, at, bond, size = ring.n, ring.at, ring.bond, ring.size
+    contexts, grid = len(allowed), (ring.width // ring.stars, ring.stars)
+    whole = [size[0] - ring.alpha, size[1]]  # the columns of whole periods
+    F = [np.zeros((contexts, side, side), dtype=complex) for side in size]
     for table in F:  # empty intervals: an identity per context, set in place
-        table.reshape(len(allowed), -1)[:, ::table.shape[1] + 1] = 1
+        table.reshape(contexts, -1)[:, ::table.shape[1] + 1] = 1
     # the steps t = 2s - 1 that close a block of a size s of nonzero weight;
-    # what a block opened at a position of class c reads, by its live
-    # letters, and its weights into the contexts at each of those steps
+    # what a block opened at a position of class c reads: its legs, the
+    # period matrices of its even- and odd-rank steps and its weights into
+    # the contexts at each closing step, all views by star bits
     rows = np.flatnonzero(alphas.any(axis=1))
-    steps, weights = [2 * row + 1 for row in rows.tolist()], alphas[rows, None] * allowed
+    steps = [2 * row + 1 for row in rows.tolist()]
+    weights = (alphas[rows, None] * allowed).reshape((len(rows), contexts) + grid)
     last = max(steps, default=0)
-    opening = [(live, ring.legs[c][live], flip[live], inner[live],
-                dict(zip(steps, weights[..., live])))
-               for c, live in enumerate(ring.live)]
+    periods = [p.reshape(grid + p.shape[1:]) for p in ring.periods]
+    opening = []
+    for c, legs in enumerate(ring.legs):
+        own, flipped = ring.star_bits(c)
+        opening.append((legs.reshape(grid + legs.shape[1:])[:, own], flipped,
+                        (periods[c % 2][:, own], periods[1 - c % 2][:, flipped]),
+                        {t: w.reshape(contexts, -1) for t, w in zip(steps, weights[..., own])}))
     for i in range(n - 1, -1, -1):
-        live, legs, flipped, first_gap, closing = opening[i % (2 * ring.d)]
-        if not len(live):
-            continue
-        same, j = F[i % 2], i + 1
-        # the gap after i, in context inner[l], from the rows of boundary i + 1 only
-        H = legs @ F[j % 2][first_gap, at[j]:at[j] + bond[j], at[j]:]
-        B = np.zeros((len(allowed), bond[i], ring.size[i % 2] - at[i + 2]), dtype=complex)
+        legs, flipped, mats, closing = opening[i % (2 * ring.d)]
+        same, j, B = F[i % 2], i + 1, None
+        # the gap after i, in its first-gap contexts, from the rows of boundary j only
+        gap = F[j % 2][0] if contexts == 1 else F[j % 2][:-1].reshape(
+            grid + F[j % 2].shape[1:])[:, flipped]
+        H = legs @ gap[..., at[j]:at[j] + bond[j], ring.first(j):whole[j % 2]]
         # H spans the boundaries from h = i + t: its element of rank t - 1
         # ends at or after h - 1, so no element of rank t fits once h reaches n
         for h in range(j, min(i + last + 1, n)):
             t = h - i
             if t > 1:
-                H = H @ F[h % 2][0, at[h]:, at[h]:]
-            H = ring.step(H, h, flipped if t % 2 else live)
+                table = F[h % 2][0, ring.image(h):, ring.first(h):whole[h % 2]]
+                H = (H.reshape(-1, table.shape[0]) @ table).reshape(H.shape[:-1] + (-1,))
+            H = ring.step(H, mats[t % 2])
             if t in closing:
-                closed = closing[t] @ H.reshape(len(live), -1)
-                B[..., at[h + 1] - at[i + 2]:] += closed.reshape((len(allowed),) + H.shape[1:])
-        same[:, at[i]:at[i] + bond[i], at[i + 2]:] = B @ same[:, at[i + 2]:, at[i + 2]:]
+                closed = (closing[t] @ H.reshape(closing[t].shape[-1], -1)).reshape(
+                    (contexts,) + H.shape[-2:])
+                if B is None:
+                    B, b0 = closed, ring.image(h + 1)
+                else:
+                    B[..., ring.image(h + 1) - b0:] += closed
+        if B is not None:
+            e = max(b0, at[i + 2])
+            same[:, at[i]:at[i] + bond[i], e:] = B[..., e - b0:] @ same[:, e:, e:]
     return complex(np.trace(F[0][-1, :bond[0], at[n]:at[n] + bond[n]]))
 
 
@@ -662,16 +702,17 @@ def planar_sum(a, spec: CumulantSpec, m: int) -> complex:
         raise ValueError("moment recursion needs %d complex entries, past MOMENT_DP_CAP = %d"
                          % (ring.entries, MOMENT_DP_CAP))
     ring.fill(_group_tensors(a))
-    letters = np.arange(ring.width)
-    flip = letters if ring.plain_word else letters ^ 1
-    allowed, inner = np.ones((1, ring.width), dtype=complex), np.zeros_like(letters)
-    if spec.kind == "haar":
-        # context c < width forbids the letter c, the inverse of the letter below
-        allowed, inner = (np.arange(ring.width + 1)[:, None] != letters).astype(complex), flip
+    allowed = _kesten_mask(ring.width) if spec.kind == "haar" else np.ones((1, ring.width))
     # a sum past the float range comes back inf or nan, for the caller to
     # reject, without numpy warning about each overflowing product
     with np.errstate(over="ignore", invalid="ignore"):
-        return _interval_dp(ring, flip, _block_weights(ring, spec), allowed, inner)
+        return _interval_dp(ring, _block_weights(ring, spec), allowed)
+
+
+def _kesten_mask(width: int) -> np.ndarray:
+    """allowed[c, l] of Kesten's contexts: context c < width forbids the
+    letter c, the inverse of the letter below; the last forbids none."""
+    return (np.arange(width + 1)[:, None] != np.arange(width)).astype(complex)
 
 
 def _real_part(total: complex, what: str) -> float:

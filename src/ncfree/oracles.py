@@ -24,7 +24,7 @@ from typing import Dict
 
 import numpy as np
 
-from .cumulants import CumulantSpec, _kappa_support, holo_word, plain_word
+from .cumulants import CumulantSpec, _kappa_support, _stored_block_values, holo_word, plain_word
 from . import matrices
 from .matrices import (
     CoefficientFamily,
@@ -327,7 +327,8 @@ def brute_moment(spec: CumulantSpec, a: CoefficientFamily, m: int) -> float:
     Validates that the structured sums lose nothing: the weight vanishes
     off the structured families, the trace sum handles the rest.  Only the
     members that cumulants._kappa_support yields are weighed with kappa_pi;
-    every other member of NC(2dm) has a block of zero cumulant, so the sum
+    both read the value of each star pattern, computed once per call.
+    Every other member of NC(2dm) has a block of zero cumulant, so the sum
     is the one over all of NC(2dm).  It is matrices._enumerated_sum over
     the support: the members of nonzero weight are contracted by one ring
     walk in the order they come, which contracts each ring prefix that
@@ -345,4 +346,5 @@ def brute_moment(spec: CumulantSpec, a: CoefficientFamily, m: int) -> float:
         word = plain_word(n)
     else:
         word = holo_word(a.d, m)
+    spec = _stored_block_values(spec)
     return _enumerated_sum(a, spec, _kappa_support(spec, word), word).real

@@ -141,12 +141,45 @@ def _reference_constrained_blocks(segments, acc, extend_ok, complete_ok):
 # ---------------------------------------------------------------------------
 # the two planar recursions that one interval recursion with letter contexts
 # replaced, kept verbatim (with the dispatch of planar_sum that chose between
-# them) as the reference for matrices.planar_sum
+# them) as the reference for matrices.planar_sum, on the ring with the
+# per-class step they were written for
+
+
+class PerClassRing(_Ring):
+    """_Ring with the per-class step it had before it stepped through whole
+    periods: fill adds the live letters and the column arrays of each class,
+    and step is the per-class loop, both verbatim."""
+
+    def fill(self, groups: tuple) -> None:
+        super().fill(groups)
+        n, d = self.n, self.d
+        # only these letters open a block at a position of the class
+        self.live = [np.flatnonzero(legs.any(axis=(1, 2))) for legs in self.legs]
+        # the table columns of every position q of class c and of q + 1
+        self.cols = []
+        for c in range(2 * d):
+            qs = np.arange(c, n, 2 * d)
+            self.cols.append((self.at[qs][:, None] + np.arange(self.bond[c]),
+                              self.at[qs + 1][:, None] + np.arange(self.bond[c + 1])))
+
+    def step(self, G: np.ndarray, q0: int, letters: np.ndarray) -> np.ndarray:
+        """Append one position: G[j, .., boundary q] -> H[j, .., boundary q + 1]
+        for the positions q = q0, q0 + 2, .. < n, through the leg letters[j]
+        of each.  G and H span the suffixes from q0 and q0 + 1."""
+        period = 2 * self.d
+        H = np.zeros(G.shape[:-1] + (self.size[(q0 + 1) % 2] - self.at[q0 + 1],), dtype=complex)
+        for c in range(q0 % 2, period, 2):
+            first = max(0, -((c - q0) // period))
+            src, dst = self.cols[c][0][first:], self.cols[c][1][first:]
+            if len(src):
+                H[..., dst - self.at[q0 + 1]] = (G[..., src - self.at[q0]]
+                                                 @ self.legs[c][letters][:, None])
+        return H
 
 
 def reference_planar_sum(a, spec, m):
     """planar_sum by the block recursion, or for Haar by the tree form."""
-    ring = _Ring(a, spec, m)
+    ring = PerClassRing(a, spec, m)
     ring.fill(_group_tensors(a))
     with np.errstate(over="ignore", invalid="ignore"):
         if ring.pairs_only:
