@@ -25,6 +25,7 @@ partitions.NC_ENUMERATION_CAP).
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import numbers
 from typing import Callable, Iterator, Sequence, Tuple
@@ -104,8 +105,9 @@ class CumulantSpec:
         one-index block in element order.
 
         The table must be a pure function of the pattern: enumerated moments
-        call it once for each star pattern they meet, and keep the value for
-        every block of that pattern after that.  The planar
+        call it once for every candidate block of each segment, mixed-index
+        blocks aside, and keep each segment's choices for reuse (the
+        brute-force oracle once per star pattern).  The planar
         recursion of matrices.planar_sum calls it once per even block size
         and first star bit, on the pattern that alternates from that bit (on
         the unstarred pattern alone in a plain family's plain word).
@@ -211,17 +213,10 @@ def _kappa_support(spec: CumulantSpec, word: Sequence[Letter]) -> Iterator[Parti
 
 def _stored_block_values(spec: CumulantSpec) -> CumulantSpec:
     """A copy of spec whose block_value computes the value of each star
-    pattern once and reads it from a dict of the copy's own after that, so
-    that _kappa_support and kappa_pi share it over one enumerated sum."""
-    values = {}
-
-    def block_value(pattern: tuple):
-        if pattern not in values:
-            values[pattern] = spec.block_value(pattern)
-        return values[pattern]
-
+    pattern once and keeps it in a cache of the copy's own, so that
+    _kappa_support and kappa_pi share it over one enumerated sum."""
     stored = copy.copy(spec)
-    stored.block_value = block_value
+    stored.block_value = functools.cache(spec.block_value)
     return stored
 
 
@@ -257,7 +252,7 @@ def moment_from_cumulants(spec: CumulantSpec, word: Sequence[Letter]):
     value = _one_index_moment(spec, word)
     if value is not None:
         return value
-    total, spec = 0, _stored_block_values(spec)
+    total = 0
     for p in _kappa_support(spec, word):
         total += kappa_pi(spec, p, word)
     return total

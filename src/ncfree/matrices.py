@@ -25,10 +25,10 @@ the 2dm positions (the block of the first position closes at some q, the
 gaps and the rest are smaller intervals) sums the planar contraction in
 polynomial time.  The site tensors repeat with period 2d around the ring,
 so the recursion appends a position to an open block in every period at
-once, by one matmul with a period matrix of the ring.  A block of 2s elements weighs the cumulant of its star
-pattern, read from one table by size and first letter.  Its tables carry
-a letter context.  The circular, semicircular, rdiag: and star_table
-presets need one.  Haar takes Kesten's first-return form, pairs of weight
+once, by one matmul with a period matrix of the ring.  A block of 2s
+elements weighs the cumulant of its star pattern, read from one table by
+size and first letter.  Its tables carry a letter context.  The circular,
+semicircular, rdiag: and star_table presets need one.  Haar takes Kesten's first-return form, pairs of weight
 1 with no signed cumulant: its context names the letter that may not open
 a block, the inverse of the letter below, or nothing below.  Only the few
 large-d cells past MOMENT_DP_CAP but within the old enumeration caps
@@ -70,8 +70,8 @@ DIMENSION_CAP = 4096
 # bound on the complex entries the planar recursion holds at once (256 MB):
 # its two interval tables, of side the summed bonds of the ring's even and
 # odd boundaries, once per letter context (Haar's letters and one more),
-# plus the open-block arrays under the one-context presets; time grows as a
-# further factor of the table side
+# plus the open-block arrays, the two period matrices, the context mask and
+# the block weights; time grows as a further factor of the table side
 MOMENT_DP_CAP = 2 ** 24
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -514,7 +514,7 @@ class _Ring:
         self.plain_word = not star and spec.kind in ("semicircle", "star_table")
         self.pairs_only = self.plain_word and spec.kind == "semicircle"
         self.width = self.letters if star or self.plain_word else 2 * self.letters
-        self.stars = 1 if self.plain_word else 2
+        self.grid = (self.width, 1) if self.plain_word else (self.width // 2, 2)
         # _prefix[c] (c < 2d + 2): the summed bonds of the boundaries c - 2,
         # c - 4, .. >= 0; the bonds repeat with period 2d, which keeps the
         # parity, so _at needs no more
@@ -549,7 +549,7 @@ class _Ring:
     def fill(self, groups: tuple) -> None:
         """The period matrices and the legs in them, from the odd and even
         group tensors."""
-        n, d = self.n, self.d
+        n = self.n
         # two empty boundaries past n end the suffixes of both parities
         self.bond = np.array([self._bond(p) for p in range(n + 1)] + [0, 0])
         self.at = np.array([self._at(p) for p in range(n + 3)])
@@ -568,7 +568,7 @@ class _Ring:
     def star_bits(self, c: int) -> tuple:
         """The star bits of the letters that open a block at a position of
         class c, and of their flips l ^ 1, as slices of the star axis."""
-        if self.stars == 1:
+        if self.grid[1] == 1:
             return slice(None), slice(None)
         if self.width > self.letters:
             g = c // self.d
@@ -612,7 +612,7 @@ def _interval_dp(ring: _Ring, alphas: np.ndarray, allowed: np.ndarray) -> comple
     blocks weighed into each context, from the first that closes.
     """
     n, at, bond, size = ring.n, ring.at, ring.bond, ring.size
-    contexts, grid = len(allowed), (ring.width // ring.stars, ring.stars)
+    contexts, grid = len(allowed), ring.grid
     whole = [size[0] - ring.alpha, size[1]]  # the columns of whole periods
     F = [np.zeros((contexts, side, side), dtype=complex) for side in size]
     for table in F:  # empty intervals: an identity per context, set in place
@@ -689,11 +689,14 @@ def planar_sum(a, spec: CumulantSpec, m: int) -> complex:
     doubled alphabet of letters (k, star), in which a block's elements
     alternate stars (the swap l ^ 1); a plain family under the semicircle
     or star_table takes its own alphabet in the plain word.  One call to
-    _interval_dp sums it: the Haar preset in Kesten's first-return form,
-    pairs of weight 1 with a letter context per letter that may not open
-    one and one for the ring, the others in one context with the weights of
-    _block_weights.  Raises ValueError for m < 1 and when the entries _Ring
-    counts exceed MOMENT_DP_CAP (before any tensor is built).
+    _interval_dp sums it, stepping an open block through every period of
+    the ring at once by the period matrices of _Ring.fill: the Haar preset
+    in Kesten's first-return form, pairs of weight 1 with a letter context
+    per letter that may not open one (the mask of _kesten_mask) and one for
+    the ring, the others in one context with the weights of _block_weights.
+    Raises ValueError for m < 1 and when the entries _Ring counts (the
+    tables, the open blocks, the period matrices, the context mask and the
+    weights) exceed MOMENT_DP_CAP, before any of them is built.
     """
     if m < 1:
         raise ValueError("need m >= 1")

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def test_period_step_matches_the_per_class_step(d):
             ring, old = _Ring(a, spec, m), PerClassRing(a, spec, m)
             ring.fill(_group_tensors(a))
             old.fill(_group_tensors(a))
-            grid = (ring.width // ring.stars, ring.stars)
+            grid = ring.grid
             whole = (ring.size[0] - ring.alpha, ring.size[1])
             star_bits = {(s.start, s.stop, s.step): s
                          for c in range(2 * d) for s in ring.star_bits(c)}
@@ -102,6 +103,27 @@ def test_moment_dp_cap_counts_the_haar_mask(monkeypatch):
         planar_sum(a, HAAR, 2)
     # the circular preset needs no mask, and the same ring is admitted
     assert _Ring(a, CIRCULAR, 2).entries <= MOMENT_DP_CAP
+
+
+@pytest.mark.parametrize("make,spec,m", [
+    (lambda rng: random_family(1, 200, 1, rng), HAAR, 3),
+    (lambda rng: random_family(3, 2, 2, rng), HAAR, 8),
+    (lambda rng: random_family(1, 2, 2, rng), CIRCULAR, 64),
+    (lambda rng: random_star_family(6, 2, 2, rng), CIRCULAR, 1),
+    (lambda rng: random_adjacent_distinct_family(2, 3, 2, rng), CumulantSpec.semicircular(), 8),
+])
+def test_entries_bound_what_the_recursion_holds(make, spec, m):
+    # every complex entry the recursion allocates is counted before it runs
+    a = make(np.random.default_rng(820))
+    a.tensor()
+    entries = _Ring(a, spec, m).entries
+    tracemalloc.start()
+    try:
+        planar_sum(a, spec, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * entries
 
 
 def test_norm_past_the_haar_mask_exits_2_with_one_line(tmp_path, capsys, monkeypatch):

@@ -5,9 +5,10 @@ on the unit-norm ``random_family(d, 2, 2, default_rng(0))``, and three
 cells of large d at m = 1: the star families ``random_star_family(d, 2,
 2, default_rng(0))`` at d = 6 and 8 and ``random_family(10, 2, 1,
 default_rng(0))``, all three under the circular preset.  Each cell is
-timed best of 3, with BLAS on one thread.  Prints one JSON object: for each cell its seconds and
-the real part of its moment.  Needs ncfree and nothing past what ncfree
-itself imports.
+timed best of 3, with BLAS on one thread.  Prints one JSON object: for
+each cell its seconds and the real part of its moment (a string where it
+is not finite).  Needs ncfree and nothing past what ncfree itself
+imports.
 
 Run from anywhere, for every cell or for the cells named::
 
@@ -15,6 +16,7 @@ Run from anywhere, for every cell or for the cells named::
 """
 
 import json
+import math
 import os
 import platform
 import sys
@@ -76,7 +78,8 @@ def main(argv):
     out = {}
     for name in argv or table:
         seconds, moment = time_cell(*table[name])
-        out[name] = {"seconds": round(seconds, 6), "moment": moment}
+        out[name] = {"seconds": round(seconds, 6),
+                     "moment": moment if math.isfinite(moment) else repr(moment)}
     print(json.dumps({"python": platform.python_version(), "numpy": np.__version__,
                       "repeats": REPEATS, "cells": out}))
     return 0
