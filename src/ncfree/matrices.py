@@ -28,9 +28,10 @@ so the recursion appends a position to an open block in every period at
 once, by one matmul with a period matrix of the ring.  A block of 2s
 elements weighs the cumulant of its star pattern, read from one table by
 size and first letter.  Its tables carry a letter context.  The circular,
-semicircular, rdiag: and star_table presets need one.  Haar takes Kesten's first-return form, pairs of weight
-1 with no signed cumulant: its context names the letter that may not open
-a block, the inverse of the letter below, or nothing below.  Only the few
+semicircular, rdiag: and star_table presets need one.  Haar takes
+Kesten's first-return form, pairs of weight 1 with no signed cumulant: its
+context names the letter that may not open a block, the inverse of the
+letter below, or nothing below.  Only the few
 large-d cells past MOMENT_DP_CAP but within the old enumeration caps
 still enumerate their family, through `_enumerated_sum`: the one
 kappa_pi-weighted sum over a partition family that the brute-force oracle
