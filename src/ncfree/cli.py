@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -222,15 +223,23 @@ def suite_fibers(args) -> Report:
     return rep
 
 
-def _random_families(args, d):
-    rng = np.random.default_rng(args.seed)
-    return [random_family(d, args.r, args.alpha, rng) for _ in range(args.trials)]
+def _random_families(args):
+    """A function giving the --trials seeded families of d slots.  They
+    depend on --seed, --r, --alpha and d only, so each d's are drawn once
+    per suite and every cell and preset of that d reads them, each family
+    keeping its tensor and its block-matrix norms."""
+    @functools.cache
+    def drawn(d):
+        rng = np.random.default_rng(args.seed)
+        return [random_family(d, args.r, args.alpha, rng) for _ in range(args.trials)]
+    return drawn
 
 
 def suite_identifications(args) -> Report:
     rep = Report()
+    drawn = _random_families(args)
     for d, m, g in _cells(args):
-        fams = _random_families(args, d)
+        fams = drawn(d)
         pows = {}  # (family index, l) -> ||M_l||^2m, shared by both rows
 
         def gaps(terminal, levels):
@@ -250,9 +259,10 @@ def suite_identifications(args) -> Report:
 
 def suite_cauchy_schwarz(args) -> Report:
     rep = Report()
+    drawn = _random_families(args)
     for d, m, g in _cells(args):
         members = list(enumerate_ncstar(g))
-        fams = _random_families(args, d)
+        fams = drawn(d)
         # |Tr(p)| once per (family, member), read by both rows
         lhs = [[abs(trace_sum_complex(fam, p)) for p in members] for fam in fams]
         # sym_jd p once per (member, cut j), read by every family
@@ -298,11 +308,12 @@ def suite_cauchy_schwarz(args) -> Report:
 def suite_main_inequality(args) -> Report:
     rep = Report()
     specs = [CumulantSpec.circular(), CumulantSpec.haar_unitary()]
+    drawn = _random_families(args)
     for d, m, _ in _cells(args):
         for spec in specs:
             rep.inequality("main-inequality-%s" % spec.kind, "d=%d,m=%d" % (d, m),
                            ((holo_norm_2m(fam, spec, m), holo_rhs_bound(fam, spec, m))
-                            for fam in _random_families(args, d)))
+                            for fam in drawn(d)))
     return rep
 
 

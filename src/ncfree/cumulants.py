@@ -110,7 +110,9 @@ class CumulantSpec:
         brute-force oracle once per star pattern).  The planar
         recursion of matrices.planar_sum calls it once per even block size
         and first star bit, on the pattern that alternates from that bit (on
-        the unstarred pattern alone in a plain family's plain word).
+        the unstarred pattern alone in a plain family's plain word), and
+        not on every call: once per table, ring size dm and word in a
+        process, while matrices._weight_table keeps the values.
         """
         return cls("star_table", table=table)
 
@@ -218,6 +220,41 @@ def _stored_block_values(spec: CumulantSpec) -> CumulantSpec:
     stored = copy.copy(spec)
     stored.block_value = functools.cache(spec.block_value)
     return stored
+
+
+class _ByValue:
+    """A spec, hashed and compared by the values its block weights and norms
+    read: its kind, its alphas with their types (an int and a float of equal
+    value give norms that may differ in the last digit), its table and
+    cyclic_alternation.  A memo keyed by it serves every equal spec and
+    keeps no state on any; on a miss it reads the spec it was called with,
+    so an error names that spec."""
+
+    __slots__ = ("spec", "_key")
+
+    def __init__(self, spec: CumulantSpec):
+        self.spec = spec
+        self._key = (spec.kind, tuple((type(x), x) for x in spec._alphas), spec._table,
+                     spec.cyclic_alternation)
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __eq__(self, other) -> bool:
+        return self._key == other._key
+
+
+@functools.lru_cache(maxsize=256)
+def _kept_bound_norms(spec: _ByValue, m) -> tuple:
+    return (c_operator_norm(spec.spec) if m is None else c_norm_2m(spec.spec, m),
+            c_norm_2(spec.spec))
+
+
+def bound_norms(spec: CumulantSpec, m) -> tuple:
+    """(||c||_2m, or the operator norm of c when m is None, and ||c||_2), the
+    norms of the R-diagonal bounds, computed once per spec value and m in a
+    process.  Raises what c_norm_2m and c_operator_norm raise, every call."""
+    return _kept_bound_norms(_ByValue(spec), m)
 
 
 def rdiag_block_weight(spec: CumulantSpec, p: Partition):

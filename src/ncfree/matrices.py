@@ -25,9 +25,12 @@ the 2dm positions (the block of the first position closes at some q, the
 gaps and the rest are smaller intervals) sums the planar contraction in
 polynomial time.  The site tensors repeat with period 2d around the ring,
 so the recursion appends a position to an open block in every period at
-once, by one matmul with a period matrix of the ring.  A block of 2s
-elements weighs the cumulant of its star pattern, read from one table by
-size and first letter.  Its tables carry a letter context.  The circular,
+once, by one matmul with a period matrix of the ring, and closes a pair
+from the stepped row of the boundary after its opening by one matmul.  A
+block of 2s elements weighs the cumulant of its star pattern, read from
+one table by size and first letter.  The ring's layout and that table
+depend on the shape and the spec only, and are computed once per value
+in a process.  Its tables carry a letter context.  The circular,
 semicircular, rdiag: and star_table presets need one.  Haar takes
 Kesten's first-return form, pairs of weight 1 with no signed cumulant: its
 context names the letter that may not open a block, the inverse of the
@@ -44,7 +47,9 @@ Operator norms are exact dense SVD norms.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import types
 from dataclasses import dataclass
 from itertools import product
 from typing import Dict
@@ -57,10 +62,9 @@ from . import families
 from .families import enumerate_ncstar, enumerate_ncdm
 from .cumulants import (
     CumulantSpec,
+    _ByValue,
     alternating_word,
-    c_norm_2,
-    c_norm_2m,
-    c_operator_norm,
+    bound_norms,
     holo_word,
     kappa_pi,
     plain_word,
@@ -71,8 +75,9 @@ DIMENSION_CAP = 4096
 # bound on the complex entries the planar recursion holds at once (256 MB):
 # its two interval tables, of side the summed bonds of the ring's even and
 # odd boundaries, once per letter context (Haar's letters and one more),
-# plus the open-block arrays, the two period matrices, the context mask and
-# the block weights; time grows as a further factor of the table side
+# plus the open-block arrays and stepped rows, the two period matrices, the
+# legs with the pair weights folded in, the context mask and the block
+# weights; time grows as a further factor of the table side
 MOMENT_DP_CAP = 2 ** 24
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -101,6 +106,7 @@ class _Family:
         self.entries = {self._checked(key): _as_matrix(value, alpha)
                         for key, value in entries.items()}
         self._tensor = None
+        self._ml_norms = {}  # m -> the d + 1 block-matrix norms, kept by ml_norms
 
     def tensor(self) -> np.ndarray:
         """Tensor of shape (letters,)*d + (alpha, alpha); absent entries are zero."""
@@ -124,6 +130,7 @@ class _Family:
         out.d, out.r, out.alpha = self.d, self.r, self.alpha
         out.entries = {key: c * mat for key, mat in self.entries.items()}
         out._tensor = None if self._tensor is None else c * self._tensor
+        out._ml_norms = {}
         return out
 
     def __repr__(self) -> str:
@@ -211,6 +218,11 @@ def build_Ml(a, l: int) -> BlockMatrixView:
     """Rows over the first l letters and {1..alpha}, columns over the
     remaining letters and {1..alpha}; a star family's letters are those of
     its doubled alphabet."""
+    return BlockMatrixView(l, _block_matrix(a, a.tensor(), l))
+
+
+def _block_matrix(a, t: np.ndarray, l: int) -> np.ndarray:
+    """M_l of the tensor t, shaped as a's tensor."""
     if not 0 <= l <= a.d:
         raise ValueError("split %d outside 0..%d" % (l, a.d))
     rows = a.letters ** l * a.alpha
@@ -219,7 +231,7 @@ def build_Ml(a, l: int) -> BlockMatrixView:
         raise ValueError("block matrix dimension exceeds cap %d" % DIMENSION_CAP)
     # axes (l_1..l_d, i, j) -> (l_1..l_l, i, l_{l+1}..l_d, j)
     perm = tuple(range(l)) + (a.d,) + tuple(range(l, a.d)) + (a.d + 1,)
-    return BlockMatrixView(l, np.ascontiguousarray(a.tensor().transpose(perm).reshape(rows, cols)))
+    return np.ascontiguousarray(t.transpose(perm).reshape(rows, cols))
 
 
 build_Ml_star = build_Ml
@@ -276,9 +288,12 @@ def schatten_norm(M, m: int) -> float:
     float range at any m."""
     mat = _matrix_of(M)
     scale = _norm2(mat)
-    if not scale:
-        return 0.0
-    trace, exponent = _power_trace(mat / scale, m)
+    return _scaled_schatten_norm(mat / scale, scale, m) if scale else 0.0
+
+
+def _scaled_schatten_norm(unit: np.ndarray, scale: float, m: int) -> float:
+    """scale times the 2m-norm of unit, a matrix of Frobenius norm 1."""
+    trace, exponent = _power_trace(unit, m)
     return scale * trace ** (1.0 / (2 * m)) * 2.0 ** (exponent / (2 * m))
 
 
@@ -487,7 +502,9 @@ class _Ring:
     with the bonds of its own place in its group.
 
     The shape comes from the family, the preset and m before any tensor is
-    built: the family's L letters (a star family's doubled alphabet), the
+    built, and is kept by _ring_shape per value of (d, m, alpha, letters,
+    family kind, preset kind), so a ring of a shape seen before is a
+    lookup: the family's L letters (a star family's doubled alphabet), the
     leg width, the bonds, the two table sides and the complex entries the
     recursion holds at once.  A plain family under an R-diagonal preset has
     legs twice as wide, over the letters (k, star) = 2k + star, and each
@@ -510,50 +527,12 @@ class _Ring:
     """
 
     def __init__(self, a, spec: CumulantSpec, m: int):
-        star = isinstance(a, StarCoefficientFamily)
-        self.d, self.n, self.alpha, self.letters = a.d, 2 * a.d * m, a.alpha, a.letters
-        self.plain_word = not star and spec.kind in ("semicircle", "star_table")
-        self.pairs_only = self.plain_word and spec.kind == "semicircle"
-        self.width = self.letters if star or self.plain_word else 2 * self.letters
-        self.grid = (self.width, 1) if self.plain_word else (self.width // 2, 2)
-        # _prefix[c] (c < 2d + 2): the summed bonds of the boundaries c - 2,
-        # c - 4, .. >= 0; the bonds repeat with period 2d, which keeps the
-        # parity, so _at needs no more
-        self._prefix = [0, 0]
-        for c in range(2, 2 * self.d + 2):
-            self._prefix.append(self._prefix[c - 2] + self._bond(c - 2))
-        self.period = self._prefix[2 * self.d:]
-        self.size = (self._at(self.n + 2), self._at(self.n + 1))  # n is even
-        # a letter context per letter (Haar's) and one more, else one; and
-        # the block sizes weighed: Haar's pairs, else every size up to dm
-        contexts, sizes = (self.width + 1, 1) if spec.kind == "haar" else (1, self.n // 2)
-        # the two interval tables per context; at most four arrays like the
-        # open blocks at once (H and its product with a table or its step,
-        # the blocks closed into each context and their sum), each a table
-        # wide for every letter or context and row of the largest bond; the
-        # two period matrices; the context mask, the block weights and
-        # their products with the mask
-        self.entries = (contexts * (self.size[0] ** 2 + self.size[1] ** 2)
-                        + 4 * max(self.width, contexts) * self._bond(self.d // 2) * max(self.size)
-                        + 2 * self.width * self.period[0] * self.period[1]
-                        + (1 + 2 * sizes) * contexts * self.width)
-
-    def _bond(self, p: int) -> int:
-        o = p % self.d
-        return self.alpha * self.letters ** min(o, self.d - o)
-
-    def _at(self, p: int) -> int:
-        """The summed bonds of the boundaries p - 2, p - 4, .. >= 0."""
-        periods, c = divmod(p, 2 * self.d)
-        return periods * self.period[p % 2] + self._prefix[c]
+        vars(self).update(_ring_shape(a.d, m, a.alpha, a.letters,
+                                      isinstance(a, StarCoefficientFamily), spec.kind))
 
     def fill(self, groups: tuple) -> None:
         """The period matrices and the legs in them, from the odd and even
         group tensors."""
-        n = self.n
-        # two empty boundaries past n end the suffixes of both parities
-        self.bond = np.array([self._bond(p) for p in range(n + 1)] + [0, 0])
-        self.at = np.array([self._at(p) for p in range(n + 3)])
         self.periods = [np.zeros((self.width, self.period[e], self.period[1 - e]), dtype=complex)
                         for e in (0, 1)]
         self.legs = []
@@ -578,20 +557,66 @@ class _Ring:
 
     def first(self, p: int) -> int:
         """The first column of the period of boundary p in its table."""
-        return p // (2 * self.d) * self.period[p % 2]
+        return self._first[p]
 
     def image(self, p: int) -> int:
         """The first column of a step's image at boundary p: that of the
         period of p - 1, one slot late in table 0."""
-        return (p - 1) // (2 * self.d) * self.period[p % 2] + (1 - p % 2) * self.alpha
+        return self._image[p]
 
     @staticmethod
     def step(G: np.ndarray, period: np.ndarray) -> np.ndarray:
         """Append one position in every period: G[.., row, K periods of one
         parity's boundaries] -> H[.., row, their images at the other parity],
-        one matmul by the period matrix period[..] of each leading index."""
+        one matmul by the period matrix period[..] of each leading index,
+        which G's leading indices broadcast against."""
         H = G.reshape(G.shape[:-2] + (-1, period.shape[-2])) @ period
-        return H.reshape(G.shape[:-1] + (-1,))
+        return H.reshape(H.shape[:-2] + (G.shape[-2], -1))
+
+
+@functools.lru_cache(maxsize=128)
+def _ring_shape(d: int, m: int, alpha: int, letters: int, star: bool, kind: str):
+    """The attributes of a _Ring that do not depend on the family's values,
+    read-only: ints, tuples and read-only arrays."""
+    n = 2 * d * m
+    plain_word = not star and kind in ("semicircle", "star_table")
+    width = letters if star or plain_word else 2 * letters
+    # two empty boundaries past n end the suffixes of both parities
+    bond = [alpha * letters ** min(p % d, d - p % d) for p in range(n + 1)] + [0, 0]
+    # prefix[c] (c < 2d + 2): the summed bonds of the boundaries c - 2,
+    # c - 4, .. >= 0; the bonds repeat with period 2d, which keeps the
+    # parity, so at needs no more
+    prefix = [0, 0]
+    for c in range(2, 2 * d + 2):
+        prefix.append(prefix[c - 2] + bond[c - 2])
+    period = tuple(prefix[2 * d:])
+    at = [p // (2 * d) * period[p % 2] + prefix[p % (2 * d)] for p in range(n + 3)]
+    size = (at[n + 2], at[n + 1])  # n is even
+    # a letter context per letter (Haar's) and one more, else one; and
+    # the block sizes weighed: Haar's pairs, else every size up to dm
+    contexts, sizes = (width + 1, 1) if kind == "haar" else (1, n // 2)
+    # the two interval tables per context; at most five arrays like the
+    # open blocks at once (the stepped row of a boundary, H and its product
+    # with a table or its step, the blocks closed into each context and
+    # their sum), each a table wide for every letter or context and row of
+    # the largest bond; the two period matrices; the legs of every class
+    # with each context's pair weights folded in; the context mask, the
+    # block weights and their products with the mask
+    entries = (contexts * (size[0] ** 2 + size[1] ** 2)
+               + 5 * max(width, contexts) * bond[d // 2] * max(size)
+               + 2 * width * period[0] * period[1]
+               + contexts * width * sum(bond[c] * bond[c + 1] for c in range(2 * d))
+               + (1 + 2 * sizes) * contexts * width)
+    bond, at = np.array(bond), np.array(at)
+    bond.flags.writeable = at.flags.writeable = False
+    return types.MappingProxyType(dict(
+        d=d, n=n, alpha=alpha, letters=letters, plain_word=plain_word,
+        pairs_only=plain_word and kind == "semicircle", width=width,
+        grid=(width, 1) if plain_word else (width // 2, 2), _prefix=tuple(prefix),
+        period=period, size=size, entries=entries, bond=bond, at=at,
+        _first=tuple(p // (2 * d) * period[p % 2] for p in range(n + 1)),
+        _image=tuple((p - 1) // (2 * d) * period[p % 2] + (1 - p % 2) * alpha
+                     for p in range(n + 1))))
 
 
 def _interval_dp(ring: _Ring, alphas: np.ndarray, allowed: np.ndarray) -> complex:
@@ -606,13 +631,22 @@ def _interval_dp(ring: _Ring, alphas: np.ndarray, allowed: np.ndarray) -> comple
     of the interval in c again.  With one context its first gap is read in
     context 0 too; with more (Kesten's, for Haar) context l forbids the
     letter l, and the first gap is read in context l ^ 1.  The last context
-    is the ring's.  Going back from the last position, H holds the open
-    block of i by letter grid and boundary after its last element, every
-    gap filled, over whole periods from the period of that boundary, whose
-    columns before it are 0 (F[i, e] = 0 for e < i); B holds the closed
-    blocks weighed into each context, from the first that closes.
+    is the ring's.
+
+    Going back from the last position, a block opened at i starts from the
+    stepped row S of boundary i + 1: the rows of that boundary, every
+    letter in its first-gap context, times the period matrix of the flipped
+    letters, which appends the element of rank 1 in every period at once.
+    A pair closes as one matmul of S by the class's legs with the pair
+    weights of every context folded in (contexts x bond_i x letters bond_
+    (i+1), built once per call).  A longer block continues as H = legs @ S,
+    the open block by letter grid and boundary after its last element,
+    every gap filled, over whole periods from the period of that boundary,
+    whose columns before it are 0 (F[i, e] = 0 for e < i); B holds the
+    closed blocks weighed into each context, from the first that closes.
     """
-    n, at, bond, size = ring.n, ring.at, ring.bond, ring.size
+    n, size, d = ring.n, ring.size, ring.d
+    at, bond, first, image = ring.at.tolist(), ring.bond.tolist(), ring._first, ring._image
     contexts, grid = len(allowed), ring.grid
     whole = [size[0] - ring.alpha, size[1]]  # the columns of whole periods
     F = [np.zeros((contexts, side, side), dtype=complex) for side in size]
@@ -620,8 +654,9 @@ def _interval_dp(ring: _Ring, alphas: np.ndarray, allowed: np.ndarray) -> comple
         table.reshape(contexts, -1)[:, ::table.shape[1] + 1] = 1
     # the steps t = 2s - 1 that close a block of a size s of nonzero weight;
     # what a block opened at a position of class c reads: its legs, the
-    # period matrices of its even- and odd-rank steps and its weights into
-    # the contexts at each closing step, all views by star bits
+    # period matrices of its even- and odd-rank steps, its pair weights
+    # folded into its legs and its weights into the contexts at each later
+    # closing step, all by star bits
     rows = np.flatnonzero(alphas.any(axis=1))
     steps = [2 * row + 1 for row in rows.tolist()]
     weights = (alphas[rows, None] * allowed).reshape((len(rows), contexts) + grid)
@@ -630,31 +665,40 @@ def _interval_dp(ring: _Ring, alphas: np.ndarray, allowed: np.ndarray) -> comple
     opening = []
     for c, legs in enumerate(ring.legs):
         own, flipped = ring.star_bits(c)
-        opening.append((legs.reshape(grid + legs.shape[1:])[:, own], flipped,
-                        (periods[c % 2][:, own], periods[1 - c % 2][:, flipped]),
-                        {t: w.reshape(contexts, -1) for t, w in zip(steps, weights[..., own])}))
-    for i in range(n - 1, -1, -1):
-        legs, flipped, mats, closing = opening[i % (2 * ring.d)]
+        legs = legs.reshape(grid + legs.shape[1:])[:, own]
+        closing = {t: w.reshape(contexts, -1) for t, w in zip(steps, weights[..., own])}
+        pair = closing.pop(1, None)
+        if pair is not None:  # [context, row, (letter, column)]
+            pair = (pair.reshape((contexts, 1) + legs.shape[:2] + (1,))
+                    * legs.transpose(2, 0, 1, 3)).reshape(contexts * legs.shape[2], -1)
+        opening.append((legs, flipped, (periods[c % 2][:, own], periods[1 - c % 2][:, flipped]),
+                        pair, closing))
+    for i in range(n - 2, -1, -1):  # a block opened at n - 1 closes nowhere
+        legs, flipped, mats, pair, closing = opening[i % (2 * d)]
         same, j, B = F[i % 2], i + 1, None
         # the gap after i, in its first-gap contexts, from the rows of boundary j only
         gap = F[j % 2][0] if contexts == 1 else F[j % 2][:-1].reshape(
             grid + F[j % 2].shape[1:])[:, flipped]
-        H = legs @ gap[..., at[j]:at[j] + bond[j], ring.first(j):whole[j % 2]]
+        S = ring.step(gap[..., at[j]:at[j] + bond[j], first[j]:whole[j % 2]], mats[1])
+        if pair is not None:
+            B, b0 = (pair @ S.reshape(pair.shape[1], -1)).reshape(
+                (contexts, bond[i], -1)), image[j + 1]
+        if last > 1:
+            H = legs @ S
         # H spans the boundaries from h = i + t: its element of rank t - 1
         # ends at or after h - 1, so no element of rank t fits once h reaches n
-        for h in range(j, min(i + last + 1, n)):
+        for h in range(j + 1, min(i + last + 1, n)):
             t = h - i
-            if t > 1:
-                table = F[h % 2][0, ring.image(h):, ring.first(h):whole[h % 2]]
-                H = (H.reshape(-1, table.shape[0]) @ table).reshape(H.shape[:-1] + (-1,))
-            H = ring.step(H, mats[t % 2])
+            table = F[h % 2][0, image[h]:, first[h]:whole[h % 2]]
+            H = ring.step((H.reshape(-1, table.shape[0]) @ table).reshape(H.shape[:-1] + (-1,)),
+                          mats[t % 2])
             if t in closing:
                 closed = (closing[t] @ H.reshape(closing[t].shape[-1], -1)).reshape(
                     (contexts,) + H.shape[-2:])
                 if B is None:
-                    B, b0 = closed, ring.image(h + 1)
+                    B, b0 = closed, image[h + 1]
                 else:
-                    B[..., ring.image(h + 1) - b0:] += closed
+                    B[..., image[h + 1] - b0:] += closed
         if B is not None:
             e = max(b0, at[i + 2])
             same[:, at[i]:at[i] + bond[i], e:] = B[..., e - b0:] @ same[:, e:, e:]
@@ -663,24 +707,35 @@ def _interval_dp(ring: _Ring, alphas: np.ndarray, allowed: np.ndarray) -> comple
 
 def _block_weights(ring: _Ring, spec: CumulantSpec) -> np.ndarray:
     """alphas[s-1, l]: the weight of a block of 2s elements whose first
-    letter is l, for every size s up to dm (Haar: pairs only).
+    letter is l, for every size s up to dm (Haar: pairs only), expanded
+    from the table of _weight_table by the star bit l & 1 (the plain word
+    has one)."""
+    table = _weight_table(_ByValue(spec), ring.n // 2, ring.plain_word)
+    return table[:, np.arange(ring.width) % table.shape[1]]
+
+
+@functools.lru_cache(maxsize=128)
+def _weight_table(spec: _ByValue, sizes: int, plain_word: bool) -> np.ndarray:
+    """The block weights by size and first star bit, read-only, computed
+    once per spec value and shape in a process.
 
     Haar's first-return form weighs pairs 1.  A preset with a determining
     sequence weighs alpha_s whatever the stars.  The semicircle and
     star_table weigh spec.block_value of the block's star pattern: every
     element unstarred in the plain word, else alternating from the star bit
-    l & 1 of the first letter.
+    of the first letter.
     """
+    spec = spec.spec
     if spec.kind == "haar":
         values = [[1]]
     elif spec.kind in ("semicircle", "star_table"):
-        starts = [(False, False)] if ring.plain_word else [(False, True), (True, False)]
-        values = [[spec.block_value(start * s) for start in starts]
-                  for s in range(1, ring.n // 2 + 1)]
+        starts = [(False, False)] if plain_word else [(False, True), (True, False)]
+        values = [[spec.block_value(start * s) for start in starts] for s in range(1, sizes + 1)]
     else:
-        values = [[alpha] for alpha in spec.determining(ring.n // 2)]
+        values = [[alpha] for alpha in spec.determining(sizes)]
     table = np.array(values, dtype=complex)
-    return table[:, np.arange(ring.width) % table.shape[1]]
+    table.flags.writeable = False
+    return table
 
 
 def planar_sum(a, spec: CumulantSpec, m: int) -> complex:
@@ -695,9 +750,14 @@ def planar_sum(a, spec: CumulantSpec, m: int) -> complex:
     in Kesten's first-return form, pairs of weight 1 with a letter context
     per letter that may not open one (the mask of _kesten_mask) and one for
     the ring, the others in one context with the weights of _block_weights.
-    Raises ValueError for m < 1 and when the entries _Ring counts (the
-    tables, the open blocks, the period matrices, the context mask and the
-    weights) exceed MOMENT_DP_CAP, before any of them is built.
+    What depends on the shape and the spec only, the ring's layout and the
+    block weights by size and first star bit, is computed once per value in
+    a process (_ring_shape, _weight_table), so a call with a family of a
+    shape seen before builds its period matrices and runs the recursion
+    only.  Raises ValueError for m < 1 and when the entries _Ring counts
+    (the tables, the open blocks and stepped rows, the period matrices, the
+    folded legs, the context mask and the weights) exceed MOMENT_DP_CAP,
+    before any of them is built.
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -732,11 +792,13 @@ def _unit_moment(a, moment_sum) -> tuple:
     """(the moment of a / ||a||_2, ||a||_2), from moment_sum(family).
 
     The moment is homogeneous of degree 2m, so it is summed at unit norm,
-    where its size no longer grows like ||a||_2^(2m).  The real part is
+    where its size no longer grows like ||a||_2^(2m).  ||a||_2 is read from
+    a's tensor, which a keeps, so the unit copy's tensor is one product and
+    a bound on a reads the same tensor again.  The real part is
     clamped at 0 within rounding of that unit scale; a clearly negative
     value, or a sum that is not finite, raises ArithmeticError.
     """
-    scale = a.frobenius()
+    scale = _norm2(a.tensor())
     value = _real_part(moment_sum(a.scaled(1 / scale) if scale else a), "moment sum")
     if value < -ABS_TOL:
         raise ArithmeticError("norm power is negative: %g" % value)
@@ -856,11 +918,24 @@ def holo_norm_2m(a: CoefficientFamily, spec: CumulantSpec, m: int) -> float:
 
 def ml_norms(a, m: int = None) -> list:
     """All d+1 block-matrix norms; Schatten 2m for integer m, operator norm
-    (dense SVD) when m is None."""
-    mats = [build_Ml(a, l) for l in range(a.d + 1)]
-    if m is None:
-        return [operator_norm(M.matrix) for M in mats]
-    return [schatten_norm(M, m) for M in mats]
+    (dense SVD) when m is None.
+
+    The Schatten norms are taken at unit ||a||_2, read once from the
+    family's tensor for every M_l (each a reshape of that tensor), as
+    schatten_norm takes each at its own.  The family keeps its norms per
+    m, so a second call for the same m computes nothing; a scaled copy
+    starts with none.
+    """
+    if m not in a._ml_norms:
+        if m is None:
+            norms = [operator_norm(build_Ml(a, l)) for l in range(a.d + 1)]
+        else:
+            scale = _norm2(a.tensor())
+            unit = a.tensor() / scale if scale else None
+            norms = [_scaled_schatten_norm(_block_matrix(a, unit, l), scale, m) if scale else 0.0
+                     for l in range(a.d + 1)]
+        a._ml_norms[m] = tuple(norms)
+    return list(a._ml_norms[m])
 
 
 def holo_rhs_bound(a, spec: CumulantSpec, m: int = None) -> float:
@@ -884,8 +959,7 @@ def _rdiag_factor(spec: CumulantSpec, d: int, m) -> float:
     m is None: the constant of both R-diagonal bounds.  Raises
     ArithmeticError, naming the spec, when ||c||_2 = 0 and d = 1, where
     ||c||_2^(d-2) has no value."""
-    cp = c_operator_norm(spec) if m is None else c_norm_2m(spec, m)
-    c2 = c_norm_2(spec)
+    cp, c2 = bound_norms(spec, m)
     if not c2 and d < 2:
         raise ArithmeticError("%s: ||c||_2 = 0, so ||c||_2^(d-2) has no value at d=%d"
                               % (spec.described(), d))
@@ -893,6 +967,12 @@ def _rdiag_factor(spec: CumulantSpec, d: int, m) -> float:
 
 
 def _check_adjacent_support(a: CoefficientFamily) -> None:
+    """Raises ValueError, naming the first such tuple of a.entries, when the
+    family is not 0 on every tuple with equal neighbouring indices: the
+    diagonals of its tensor over neighbouring letter axes."""
+    t = a.tensor()
+    if not any(np.diagonal(t, axis1=o, axis2=o + 1).any() for o in range(a.d - 1)):
+        return
     for key, mat in a.entries.items():
         if np.any(mat) and any(key[i] == key[i + 1] for i in range(a.d - 1)):
             raise ValueError(
