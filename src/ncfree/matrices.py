@@ -595,17 +595,19 @@ def _ring_shape(d: int, m: int, alpha: int, letters: int, star: bool, kind: str)
     # a letter context per letter (Haar's) and one more, else one; and
     # the block sizes weighed: Haar's pairs, else every size up to dm
     contexts, sizes = (width + 1, 1) if kind == "haar" else (1, n // 2)
-    # the two interval tables per context; at most five arrays like the
-    # open blocks at once (the stepped row of a boundary, H and its product
-    # with a table or its step, the blocks closed into each context and
-    # their sum), each a table wide for every letter or context and row of
-    # the largest bond; the two period matrices; the legs of every class
-    # with each context's pair weights folded in; the context mask, the
-    # block weights and their products with the mask
+    # the two interval tables per context; at most four arrays like the
+    # open blocks at once, each a table wide for every letter or context
+    # and row of the largest bond: past pairs, H, its product with a table
+    # and that product's step, and the closed blocks; with pairs only, the
+    # last stepped row, the next and a copy of the rows it steps, or the
+    # stepped row, the closed pairs and their product with a table; the
+    # two period matrices; the legs of each class with the pair weights of
+    # every context folded in; the context mask, the block weights and
+    # their products with the mask
     entries = (contexts * (size[0] ** 2 + size[1] ** 2)
-               + 5 * max(width, contexts) * bond[d // 2] * max(size)
+               + 4 * max(width, contexts) * bond[d // 2] * max(size)
                + 2 * width * period[0] * period[1]
-               + contexts * width * sum(bond[c] * bond[c + 1] for c in range(2 * d))
+               + contexts * letters * sum(bond[c] * bond[c + 1] for c in range(2 * d))
                + (1 + 2 * sizes) * contexts * width)
     bond, at = np.array(bond), np.array(at)
     bond.flags.writeable = at.flags.writeable = False
@@ -679,12 +681,14 @@ def _interval_dp(ring: _Ring, alphas: np.ndarray, allowed: np.ndarray) -> comple
         # the gap after i, in its first-gap contexts, from the rows of boundary j only
         gap = F[j % 2][0] if contexts == 1 else F[j % 2][:-1].reshape(
             grid + F[j % 2].shape[1:])[:, flipped]
-        S = ring.step(gap[..., at[j]:at[j] + bond[j], first[j]:whole[j % 2]], mats[1])
+        # its stepped row S, held as H: a pair closes from it, a longer block
+        # continues from legs @ S
+        H = ring.step(gap[..., at[j]:at[j] + bond[j], first[j]:whole[j % 2]], mats[1])
         if pair is not None:
-            B, b0 = (pair @ S.reshape(pair.shape[1], -1)).reshape(
+            B, b0 = (pair @ H.reshape(pair.shape[1], -1)).reshape(
                 (contexts, bond[i], -1)), image[j + 1]
         if last > 1:
-            H = legs @ S
+            H = legs @ H
         # H spans the boundaries from h = i + t: its element of rank t - 1
         # ends at or after h - 1, so no element of rank t fits once h reaches n
         for h in range(j + 1, min(i + last + 1, n)):

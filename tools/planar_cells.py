@@ -7,7 +7,7 @@ cells of large d at m = 1: the star families ``random_star_family(d, 2,
 default_rng(0))``, all three under the circular preset.  Each cell is
 timed best of 3, with BLAS on one thread.  Prints one JSON object: for
 each cell its seconds and the real part of its moment (a string where it
-is not finite).  Needs ncfree and nothing past what ncfree itself
+is not finite), or the error of a cell past MOMENT_DP_CAP.  Needs ncfree and nothing past what ncfree itself
 imports.
 
 Run from anywhere, for every cell or for the cells named::
@@ -77,7 +77,11 @@ def main(argv):
         return 2
     out = {}
     for name in argv or table:
-        seconds, moment = time_cell(*table[name])
+        try:
+            seconds, moment = time_cell(*table[name])
+        except ValueError as exc:  # past MOMENT_DP_CAP
+            out[name] = {"error": str(exc)}
+            continue
         out[name] = {"seconds": round(seconds, 6),
                      "moment": moment if math.isfinite(moment) else repr(moment)}
     print(json.dumps({"python": platform.python_version(), "numpy": np.__version__,
