@@ -597,13 +597,13 @@ def _ring_shape(d: int, m: int, alpha: int, letters: int, star: bool, kind: str)
     contexts, sizes = (width + 1, 1) if kind == "haar" else (1, n // 2)
     # the two interval tables per context; at most four arrays like the
     # open blocks at once, each a table wide for every letter or context
-    # and row of the largest bond: past pairs, H, its product with a table
-    # and that product's step, and the closed blocks; with pairs only, the
-    # last stepped row, the next and a copy of the rows it steps, or the
-    # stepped row, the closed pairs and their product with a table; the
-    # two period matrices; the legs of each class with the pair weights of
-    # every context folded in; the context mask, the block weights and
-    # their products with the mask
+    # and row of the largest bond (past pairs H, its product with a table,
+    # that product's step and the closed blocks; with pairs only the last
+    # stepped row, the next and a copy of the rows it steps, or a stepped
+    # row, the closed pairs and their product with a table); the two period
+    # matrices; the legs of each class with the pair weights of every
+    # context folded in; the context mask, the block weights and their
+    # products with the mask
     entries = (contexts * (size[0] ** 2 + size[1] ** 2)
                + 4 * max(width, contexts) * bond[d // 2] * max(size)
                + 2 * width * period[0] * period[1]
@@ -640,8 +640,9 @@ def _interval_dp(ring: _Ring, alphas: np.ndarray, allowed: np.ndarray) -> comple
     letter in its first-gap context, times the period matrix of the flipped
     letters, which appends the element of rank 1 in every period at once.
     A pair closes as one matmul of S by the class's legs with the pair
-    weights of every context folded in (contexts x bond_i x letters bond_
-    (i+1), built once per call).  A longer block continues as H = legs @ S,
+    weights of every context folded in, contexts x bond_i x (letters x
+    bond_(i+1)) and built once per call.  A longer block continues as
+    H = legs @ S,
     the open block by letter grid and boundary after its last element,
     every gap filled, over whole periods from the period of that boundary,
     whose columns before it are 0 (F[i, e] = 0 for e < i); B holds the
