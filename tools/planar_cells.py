@@ -7,8 +7,8 @@ cells of large d at m = 1: the star families ``random_star_family(d, 2,
 default_rng(0))``, all three under the circular preset.  Each cell is
 timed best of 3, with BLAS on one thread.  Prints one JSON object: for
 each cell its seconds and the real part of its moment (a string where it
-is not finite), or the error of a cell past MOMENT_DP_CAP.  Needs ncfree and nothing past what ncfree itself
-imports.
+is not finite), or the error of a cell past MOMENT_DP_CAP.  Needs ncfree
+and nothing past what ncfree itself imports.
 
 Run from anywhere, for every cell or for the cells named::
 
