@@ -49,6 +49,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 import types
 from dataclasses import dataclass
 from itertools import product
@@ -106,10 +107,16 @@ class _Family:
         self.entries = {self._checked(key): _as_matrix(value, alpha)
                         for key, value in entries.items()}
         self._tensor = None
+        self._scaled_from = None  # (c, family) of a scaled copy
         self._ml_norms = {}  # m -> the d + 1 block-matrix norms, kept by ml_norms
 
     def tensor(self) -> np.ndarray:
-        """Tensor of shape (letters,)*d + (alpha, alpha); absent entries are zero."""
+        """Tensor of shape (letters,)*d + (alpha, alpha); absent entries are
+        zero.  A scaled copy's is c times its source's, which the source
+        keeps."""
+        if self._tensor is None and self._scaled_from is not None:
+            c, source = self._scaled_from
+            self._tensor = c * source.tensor()
         if self._tensor is None:
             t = np.zeros((self.letters,) * self.d + (self.alpha, self.alpha), dtype=complex)
             for key, mat in self.entries.items():
@@ -129,7 +136,7 @@ class _Family:
         out = object.__new__(type(self))
         out.d, out.r, out.alpha = self.d, self.r, self.alpha
         out.entries = {key: c * mat for key, mat in self.entries.items()}
-        out._tensor = None if self._tensor is None else c * self._tensor
+        out._tensor, out._scaled_from = None, (c, self)
         out._ml_norms = {}
         return out
 
@@ -502,11 +509,15 @@ class _Ring:
     with the bonds of its own place in its group.
 
     The shape comes from the family, the preset and m before any tensor is
-    built, and is kept by _ring_shape per value of (d, m, alpha, letters,
-    family kind, preset kind), so a ring of a shape seen before is a
-    lookup: the family's L letters (a star family's doubled alphabet), the
-    leg width, the bonds, the two table sides and the complex entries the
-    recursion holds at once.  A plain family under an R-diagonal preset has
+    built, in O(d), and is kept by _ring_shape per value of (d, m, alpha,
+    letters, family kind, preset kind), so a ring of a shape seen before is
+    a lookup: the family's L letters (a star family's doubled alphabet),
+    the leg width, the two table sides and the complex entries the
+    recursion holds at once.  fill adds what is given per boundary, kept by
+    _ring_positions: bond, at, first[p], the first column of the period of
+    boundary p in its table, and image[p], the first column of a step's
+    image at boundary p (that of the period of p - 1, one slot late in
+    table 0).  A plain family under an R-diagonal preset has
     legs twice as wide, over the letters (k, star) = 2k + star, and each
     group fills only its own star.  Under the self-adjoint presets, the
     semicircle and star_table, a plain family is read in the plain word:
@@ -531,8 +542,10 @@ class _Ring:
                                       isinstance(a, StarCoefficientFamily), spec.kind))
 
     def fill(self, groups: tuple) -> None:
-        """The period matrices and the legs in them, from the odd and even
-        group tensors."""
+        """The layout per boundary, the period matrices and the legs in
+        them, from the odd and even group tensors."""
+        vars(self).update(_ring_positions(self.d, self.n // (2 * self.d), self.alpha,
+                                          self.letters))
         self.periods = [np.zeros((self.width, self.period[e], self.period[1 - e]), dtype=complex)
                         for e in (0, 1)]
         self.legs = []
@@ -555,15 +568,6 @@ class _Ring:
             return slice(g, g + 1), slice(1 - g, 2 - g)
         return slice(None), slice(None, None, -1)
 
-    def first(self, p: int) -> int:
-        """The first column of the period of boundary p in its table."""
-        return self._first[p]
-
-    def image(self, p: int) -> int:
-        """The first column of a step's image at boundary p: that of the
-        period of p - 1, one slot late in table 0."""
-        return self._image[p]
-
     @staticmethod
     def step(G: np.ndarray, period: np.ndarray) -> np.ndarray:
         """Append one position in every period: G[.., row, K periods of one
@@ -576,22 +580,16 @@ class _Ring:
 
 @functools.lru_cache(maxsize=128)
 def _ring_shape(d: int, m: int, alpha: int, letters: int, star: bool, kind: str):
-    """The attributes of a _Ring that do not depend on the family's values,
-    read-only: ints, tuples and read-only arrays."""
+    """The attributes of a _Ring that do not depend on the family's values
+    and take O(d) to compute, read-only: ints and tuples.  Nothing here
+    grows with m, so a shape past MOMENT_DP_CAP is rejected at that cost."""
     n = 2 * d * m
     plain_word = not star and kind in ("semicircle", "star_table")
     width = letters if star or plain_word else 2 * letters
-    # two empty boundaries past n end the suffixes of both parities
-    bond = [alpha * letters ** min(p % d, d - p % d) for p in range(n + 1)] + [0, 0]
-    # prefix[c] (c < 2d + 2): the summed bonds of the boundaries c - 2,
-    # c - 4, .. >= 0; the bonds repeat with period 2d, which keeps the
-    # parity, so at needs no more
-    prefix = [0, 0]
-    for c in range(2, 2 * d + 2):
-        prefix.append(prefix[c - 2] + bond[c - 2])
-    period = tuple(prefix[2 * d:])
-    at = [p // (2 * d) * period[p % 2] + prefix[p % (2 * d)] for p in range(n + 3)]
-    size = (at[n + 2], at[n + 1])  # n is even
+    bond = [_bond(d, alpha, letters, p) for p in range(2 * d + 1)]
+    prefix = _prefix(d, alpha, letters)
+    period = prefix[2 * d:]
+    size = (_at(prefix, n + 2), _at(prefix, n + 1))  # n is even
     # a letter context per letter (Haar's) and one more, else one; and
     # the block sizes weighed: Haar's pairs, else every size up to dm
     contexts, sizes = (width + 1, 1) if kind == "haar" else (1, n // 2)
@@ -609,16 +607,51 @@ def _ring_shape(d: int, m: int, alpha: int, letters: int, star: bool, kind: str)
                + 2 * width * period[0] * period[1]
                + contexts * letters * sum(bond[c] * bond[c + 1] for c in range(2 * d))
                + (1 + 2 * sizes) * contexts * width)
-    bond, at = np.array(bond), np.array(at)
-    bond.flags.writeable = at.flags.writeable = False
     return types.MappingProxyType(dict(
         d=d, n=n, alpha=alpha, letters=letters, plain_word=plain_word,
         pairs_only=plain_word and kind == "semicircle", width=width,
-        grid=(width, 1) if plain_word else (width // 2, 2), _prefix=tuple(prefix),
-        period=period, size=size, entries=entries, bond=bond, at=at,
-        _first=tuple(p // (2 * d) * period[p % 2] for p in range(n + 1)),
-        _image=tuple((p - 1) // (2 * d) * period[p % 2] + (1 - p % 2) * alpha
-                     for p in range(n + 1))))
+        grid=(width, 1) if plain_word else (width // 2, 2), _prefix=prefix,
+        period=period, size=size, entries=entries))
+
+
+def _bond(d: int, alpha: int, letters: int, p: int) -> int:
+    """The bond at boundary p: alpha * L^min(o, d - o) for o = p mod d."""
+    o = p % d
+    return alpha * letters ** min(o, d - o)
+
+
+def _prefix(d: int, alpha: int, letters: int) -> tuple:
+    """prefix[c] (c < 2d + 2): the summed bonds of the boundaries c - 2,
+    c - 4, .. >= 0.  The bonds repeat with period 2d, which keeps the
+    parity, so _at needs no more, and prefix[2d:] are the two periods."""
+    prefix = [0, 0]
+    for c in range(2, 2 * d + 2):
+        prefix.append(prefix[c - 2] + _bond(d, alpha, letters, c - 2))
+    return tuple(prefix)
+
+
+def _at(prefix: tuple, p: int) -> int:
+    """The summed bonds of the boundaries p - 2, p - 4, .. >= 0."""
+    periods, c = divmod(p, len(prefix) - 2)
+    return periods * prefix[len(prefix) - 2 + p % 2] + prefix[c]
+
+
+@functools.lru_cache(maxsize=128)
+def _ring_positions(d: int, m: int, alpha: int, letters: int):
+    """The attributes of a _Ring given per boundary, read-only: bond and at
+    as read-only arrays, first and image as tuples of ints.  Built by fill,
+    past the cap check, so they are only ever as long as an admitted ring."""
+    n, prefix = 2 * d * m, _prefix(d, alpha, letters)
+    period = prefix[2 * d:]
+    # two empty boundaries past n end the suffixes of both parities
+    bond = np.array([_bond(d, alpha, letters, p) for p in range(n + 1)] + [0, 0])
+    at = np.array([_at(prefix, p) for p in range(n + 3)])
+    bond.flags.writeable = at.flags.writeable = False
+    return types.MappingProxyType(dict(
+        bond=bond, at=at,
+        first=tuple(p // (2 * d) * period[p % 2] for p in range(n + 1)),
+        image=tuple((p - 1) // (2 * d) * period[p % 2] + (1 - p % 2) * alpha
+                    for p in range(n + 1))))
 
 
 def _interval_dp(ring: _Ring, alphas: np.ndarray, allowed: np.ndarray) -> complex:
@@ -649,7 +682,7 @@ def _interval_dp(ring: _Ring, alphas: np.ndarray, allowed: np.ndarray) -> comple
     closed blocks weighed into each context, from the first that closes.
     """
     n, size, d = ring.n, ring.size, ring.d
-    at, bond, first, image = ring.at.tolist(), ring.bond.tolist(), ring._first, ring._image
+    at, bond, first, image = ring.at.tolist(), ring.bond.tolist(), ring.first, ring.image
     contexts, grid = len(allowed), ring.grid
     whole = [size[0] - ring.alpha, size[1]]  # the columns of whole periods
     F = [np.zeros((contexts, side, side), dtype=complex) for side in size]
@@ -757,12 +790,13 @@ def planar_sum(a, spec: CumulantSpec, m: int) -> complex:
     the ring, the others in one context with the weights of _block_weights.
     What depends on the shape and the spec only, the ring's layout and the
     block weights by size and first star bit, is computed once per value in
-    a process (_ring_shape, _weight_table), so a call with a family of a
-    shape seen before builds its period matrices and runs the recursion
-    only.  Raises ValueError for m < 1 and when the entries _Ring counts
-    (the tables, the open blocks and stepped rows, the period matrices, the
-    folded legs, the context mask and the weights) exceed MOMENT_DP_CAP,
-    before any of them is built.
+    a process (_ring_shape, _ring_positions, _weight_table), so a call with
+    a family of a shape seen before builds its period matrices and runs the
+    recursion only.  Raises ValueError for m < 1 and when the entries _Ring
+    counts (the tables, the open blocks and stepped rows, the period
+    matrices, the folded legs, the context mask and the weights) exceed
+    MOMENT_DP_CAP, at a cost of O(d) whatever m is: before the layout per
+    boundary, any tensor or any of those entries is built.
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -797,13 +831,14 @@ def _unit_moment(a, moment_sum) -> tuple:
     """(the moment of a / ||a||_2, ||a||_2), from moment_sum(family).
 
     The moment is homogeneous of degree 2m, so it is summed at unit norm,
-    where its size no longer grows like ||a||_2^(2m).  ||a||_2 is read from
-    a's tensor, which a keeps, so the unit copy's tensor is one product and
-    a bound on a reads the same tensor again.  The real part is
-    clamped at 0 within rounding of that unit scale; a clearly negative
-    value, or a sum that is not finite, raises ArithmeticError.
+    where its size no longer grows like ||a||_2^(2m).  ||a||_2 is summed
+    over a's entries, so no tensor is built before the recursion checks
+    its cap; the unit copy's tensor, once the recursion asks for it, is one
+    product with a's, which a keeps for a bound on a to read again.  The
+    real part is clamped at 0 within rounding of that unit scale; a clearly
+    negative value, or a sum that is not finite, raises ArithmeticError.
     """
-    scale = _norm2(a.tensor())
+    scale = a.frobenius()
     value = _real_part(moment_sum(a.scaled(1 / scale) if scale else a), "moment sum")
     if value < -ABS_TOL:
         raise ArithmeticError("norm power is negative: %g" % value)
@@ -973,13 +1008,10 @@ def _rdiag_factor(spec: CumulantSpec, d: int, m) -> float:
 
 def _check_adjacent_support(a: CoefficientFamily) -> None:
     """Raises ValueError, naming the first such tuple of a.entries, when the
-    family is not 0 on every tuple with equal neighbouring indices: the
-    diagonals of its tensor over neighbouring letter axes."""
-    t = a.tensor()
-    if not any(np.diagonal(t, axis1=o, axis2=o + 1).any() for o in range(a.d - 1)):
-        return
+    family is not 0 on every tuple with equal neighbouring indices."""
     for key, mat in a.entries.items():
-        if np.any(mat) and any(key[i] == key[i + 1] for i in range(a.d - 1)):
+        # the keys first: on an adjacent-distinct support no matrix is read
+        if any(map(operator.eq, key, key[1:])) and np.any(mat):
             raise ValueError(
                 "family must vanish on tuples with equal neighbouring indices; "
                 "offending tuple %r" % (key,))

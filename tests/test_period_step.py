@@ -55,7 +55,7 @@ def test_period_step_matches_the_per_class_step(d):
             star_bits = {(s.start, s.stop, s.step): s
                          for c in range(2 * d) for s in ring.star_bits(c)}
             for q0 in range(ring.n):  # every phase, in every period
-                start, image = ring.first(q0), ring.image(q0 + 1)
+                start, image = ring.first[q0], ring.image[q0 + 1]
                 for bits in star_bits.values():
                     letters = np.arange(ring.width).reshape(grid)[:, bits].ravel()
                     G = np.zeros(grid[:1] + (len(letters) // grid[0], 3, whole[q0 % 2] - start),

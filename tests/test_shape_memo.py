@@ -17,6 +17,7 @@ from ncfree.cumulants import CumulantSpec, _ByValue, _kept_bound_norms
 from ncfree.matrices import (
     _Ring,
     _check_adjacent_support,
+    _ring_positions,
     _ring_shape,
     _weight_table,
     holo_moment,
@@ -35,7 +36,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SPECS = {"circular": CumulantSpec.circular(), "haar": CumulantSpec.haar_unitary(),
          "semicircle": CumulantSpec.semicircular(),
          "rdiag": CumulantSpec.from_name("rdiag:1,-0.5,0.25")}
-MEMOS = (_ring_shape, _weight_table, _kept_bound_norms)
+MEMOS = (_ring_shape, _ring_positions, _weight_table, _kept_bound_norms)
 
 
 def _cases(d, m, rng):
@@ -85,21 +86,68 @@ def test_an_equal_spec_builds_no_new_plan():
     planar_sum(a, ints, 3)
     nonholo_rhs_bound(a, ints, 3)
     misses = [memo.cache_info().misses for memo in MEMOS]
-    assert misses == [built[0], built[1] + 1, built[2] + 1]
+    assert misses == [built[0], built[1], built[2] + 1, built[3] + 1]
 
 
 def test_the_memo_holds_read_only_values():
     a = random_family(2, 2, 2, np.random.default_rng(32))
     ring = _Ring(a, SPECS["haar"], 3)
+    ring.fill(matrices._group_tensors(a))
     for array in (ring.at, ring.bond, _weight_table(_ByValue(SPECS["rdiag"]), 6, False)):
         with pytest.raises(ValueError):
             array[0] = 1
-    shape = _ring_shape(2, 3, 2, 2, False, "haar")
-    with pytest.raises(TypeError):
-        shape["entries"] = 0
+    shape, positions = _ring_shape(2, 3, 2, 2, False, "haar"), _ring_positions(2, 3, 2, 2)
+    for layout in (shape, positions):
+        with pytest.raises(TypeError):
+            layout["entries"] = 0
     # what fill adds is the ring's own
-    ring.fill(matrices._group_tensors(a))
-    assert "periods" not in shape and _Ring(a, SPECS["haar"], 3).entries == ring.entries
+    assert "periods" not in shape and "periods" not in positions
+    assert _Ring(a, SPECS["haar"], 3).entries == ring.entries
+
+
+def _fail(*args):
+    raise AssertionError("work done before the cap check")
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_a_ring_past_the_cap_costs_o_of_d(name, monkeypatch):
+    # no list per position, no site tensor and no dense tensor before the
+    # entries are compared with MOMENT_DP_CAP, however large m is
+    for target in ("_ring_positions", "_split_group", "_group_tensors"):
+        monkeypatch.setattr(matrices, target, _fail)
+    monkeypatch.setattr(matrices._Family, "tensor", _fail)
+    rng = np.random.default_rng(35)
+    plain = random_family(2, 2, 2, rng)
+    other = (random_adjacent_distinct_family(2, 3, 2, rng) if name == "semicircle"
+             else random_star_family(2, 2, 2, rng))
+    spec, m = SPECS[name], 10 ** 9
+    for call in (lambda: planar_sum(plain, spec, m), lambda: planar_sum(other, spec, m),
+                 lambda: holo_moment(plain, spec, m), lambda: nonholo_moment(other, spec, m)):
+        with pytest.raises(ValueError, match="MOMENT_DP_CAP"):
+            call()
+
+
+def test_moments_past_the_cap_build_no_dense_tensor(monkeypatch):
+    # r = 2000 letters at d = 3: the dense tensor would hold 8e9 entries,
+    # and 2dm = 30 is past both enumeration caps
+    monkeypatch.setattr(matrices._Family, "tensor", _fail)
+    monkeypatch.setattr(matrices, "_split_group", _fail)
+    plain = matrices.CoefficientFamily(3, 2000, 1, {(1, 2, 1): 1.0, (2000, 1, 2): 0.5})
+    for call in (lambda: holo_moment(plain, SPECS["circular"], 5),
+                 lambda: holo_moment(plain, SPECS["haar"], 5),
+                 lambda: nonholo_moment(plain, SPECS["semicircle"], 5)):
+        with pytest.raises(ValueError, match="MOMENT_DP_CAP"):
+            call()
+
+
+def test_norm_past_the_cap_exits_at_once(tmp_path, capsys):
+    from ncfree import cli
+
+    path = tmp_path / "one.txt"
+    path.write_text("1 1 1\n1 1,0\n")
+    code = cli.main(["norm", "--family-file", str(path), "--spec", "circular",
+                     "--m", "100000000"])
+    assert code == 2 and "MOMENT_DP_CAP" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
