@@ -104,11 +104,21 @@ class _Family:
         self.d = d
         self.r = r
         self.alpha = alpha
-        self.entries = {self._checked(key): _as_matrix(value, alpha)
-                        for key, value in entries.items()}
+        self._entries = {self._checked(key): _as_matrix(value, alpha)
+                         for key, value in entries.items()}
         self._tensor = None
         self._scaled_from = None  # (c, family) of a scaled copy
         self._ml_norms = {}  # m -> the d + 1 block-matrix norms, kept by ml_norms
+
+    @property
+    def entries(self) -> dict:
+        """The matrix of each support point.  A scaled copy's are c times
+        its source's, computed when first read: a moment at unit norm reads
+        the tensor only."""
+        if self._entries is None:
+            c, source = self._scaled_from
+            self._entries = {key: c * mat for key, mat in source.entries.items()}
+        return self._entries
 
     def tensor(self) -> np.ndarray:
         """Tensor of shape (letters,)*d + (alpha, alpha); absent entries are
@@ -135,8 +145,7 @@ class _Family:
         """The family c * a.  The support is unchanged, so it is not checked again."""
         out = object.__new__(type(self))
         out.d, out.r, out.alpha = self.d, self.r, self.alpha
-        out.entries = {key: c * mat for key, mat in self.entries.items()}
-        out._tensor, out._scaled_from = None, (c, self)
+        out._entries, out._tensor, out._scaled_from = None, None, (c, self)
         out._ml_norms = {}
         return out
 

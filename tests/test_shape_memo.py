@@ -192,6 +192,16 @@ def test_block_norms_are_kept_per_m_and_not_by_scaled_copies(monkeypatch):
     assert ml_norms(a, 3) is not ml_norms(a, 3)  # each call gets a list of its own
 
 
+def test_a_scaled_copy_is_c_times_its_source():
+    a = random_star_family(2, 2, 2, np.random.default_rng(36))
+    unit = a.scaled(0.5)
+    # its tensor is one product with the source's, which the source keeps
+    assert np.array_equal(unit.tensor(), 0.5 * a.tensor()) and a._tensor is not None
+    assert unit.entries.keys() == a.entries.keys()
+    assert all(np.array_equal(unit.entries[key], 0.5 * mat) for key, mat in a.entries.items())
+    assert np.array_equal(unit.scaled(4.0).tensor(), 4.0 * unit.tensor())
+
+
 def test_adjacent_support_check_names_the_first_offending_tuple():
     a = matrices.CoefficientFamily(3, 2, 1, {(1, 2, 1): 1.0, (2, 1, 1): 0.0,
                                              (1, 2, 2): 2.0, (2, 2, 1): 3.0})
