@@ -52,7 +52,7 @@ from .matrices import (
     trace_sum,
     trace_sum_complex,
 )
-from .partitions import enumerate_nc, format_partition
+from .partitions import NC_ENUMERATION_CAP, enumerate_nc, format_partition
 from .symmetry import (
     GridShape,
     TerminalKind,
@@ -146,7 +146,18 @@ def _cells(args):
             yield d, m, GridShape(d, m)
 
 
+def _check_range(size: int, flags: str, cap_name: str, cap: int) -> None:
+    """Raises ValueError, naming the cap, when the largest ground size a
+    suite enumerates, set by the flags named, is past it: before any row."""
+    if size > cap:
+        raise ValueError("%s needs ground size %d, past %s = %d" % (flags, size, cap_name, cap))
+
+
 def suite_counting(args) -> Report:
+    _check_range(args.n, "--n %d" % args.n, "NC_ENUMERATION_CAP", NC_ENUMERATION_CAP)
+    size, flags = GridShape(args.d, args.m).n, "--d %d --m %d" % (args.d, args.m)
+    for cap_name in ("STAR_ENUMERATION_CAP", "INTERVAL_ENUMERATION_CAP"):
+        _check_range(size, flags, cap_name, getattr(families, cap_name))
     rep = Report()
     for n in range(1, args.n + 1):
         count = sum(1 for _ in enumerate_nc(n))
@@ -165,6 +176,8 @@ def suite_counting(args) -> Report:
 
 
 def suite_martingale(args) -> Report:
+    _check_range(GridShape(1, args.m).n, "--m %d" % args.m, "STAR_ENUMERATION_CAP",
+                 families.STAR_ENUMERATION_CAP)
     rep = Report()
     for m in range(1, args.m + 1):
         g = GridShape(1, m)

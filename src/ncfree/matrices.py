@@ -357,7 +357,9 @@ def _ring_walk(d: int, m: int, tensor_of):
 
     Group j (positions jd+1..jd+d) contributes tensor_of(j), subscripted by
     the blocks of its positions and by the two matrix indices it chains;
-    a call may pass its own tensor_of, which defaults to the walk's.
+    a call may pass its own tensor_of, which defaults to the walk's.  The
+    walk reads each partition's block ids alone, each block's last
+    position among them, and builds no block tuple.
     Walking the groups in ring order carries T_j[i0, i, blocks still open],
     from T_0 = eye(alpha): group j is one two-operand einsum from T_j to
     T_(j+1), which sums out every block whose last position lies in the
@@ -390,10 +392,13 @@ def _ring_walk(d: int, m: int, tensor_of):
 
     def trace_of(p: Partition, tensor_of=tensor_of) -> complex:
         nonlocal walked
-        ends = [max(b) for b in p.blocks]
-        code = list(p._block_id)
+        ids = p._block_id
+        # the last position of each block, 0-based, by block id: the ids are
+        # numbered by first appearance, the order the dict keeps
+        ends = list({b: x for x, b in enumerate(ids)}.values())
+        code = list(ids)
         for x in ends:
-            code[x - 1] = ~code[x - 1]
+            code[x] = ~code[x]
         shared = 0
         for u, v in zip(code, walked):
             if u != v:
@@ -401,9 +406,9 @@ def _ring_walk(d: int, m: int, tensor_of):
             shared += 1
         start = shared // d
         del partials[start + 1:], opens[start + 1:]
-        last_group = [(x - 1) // d for x in ends]
+        last_group = [x // d for x in ends]
         for j in range(start, 2 * m):
-            subs = list(p._block_id[j * d:j * d + d])
+            subs = list(ids[j * d:j * d + d])
             open_blocks = opens[j]
             still_open = [b for b in dict.fromkeys(open_blocks + subs) if last_group[b] > j]
             partials.append(np.einsum(partials[j], [first, here] + open_blocks, tensor_of(j),
@@ -811,7 +816,8 @@ def planar_sum(a, spec: CumulantSpec, m: int) -> complex:
         raise ValueError("need m >= 1")
     ring = _Ring(a, spec, m)
     if ring.entries > MOMENT_DP_CAP:
-        raise ValueError("moment recursion needs %d complex entries, past MOMENT_DP_CAP = %d"
+        raise ValueError("moment recursion needs %d complex entries, past the cap "
+                         "MOMENT_DP_CAP = %d"
                          % (ring.entries, MOMENT_DP_CAP))
     ring.fill(_group_tensors(a))
     allowed = _kesten_mask(ring.width) if spec.kind == "haar" else np.ones((1, ring.width))
@@ -900,11 +906,24 @@ def _enumerated_sum(a, spec: CumulantSpec, members, word) -> complex:
                          lambda p: walk(p, _member_tensors(a, groups, swapped, p)))
 
 
-def _enumerate_instead(a, spec: CumulantSpec, m: int, enumeration_cap: int) -> bool:
+def _enumerate_instead(a, spec: CumulantSpec, m: int, enumeration_cap: int,
+                       letters: int) -> bool:
     """Whether a moment past MOMENT_DP_CAP is still within the enumeration
-    cap of its family.  The large-d cells there have dense tensors small
-    enough for the member-by-member sum but interval tables too large."""
-    return 2 * a.d * m <= enumeration_cap and _Ring(a, spec, m).entries > MOMENT_DP_CAP
+    cap of its family, and the enumerated sum, contracting a family of the
+    given letters, can meet ASSIGNMENT_CAP.  The large-d cells there have
+    dense tensors small enough for the member-by-member sum but interval
+    tables too large.  When pairs weigh anything (the first row of the
+    ring's block weights), the family's pairings carry weight and d*m
+    blocks, so past letters^(dm) > ASSIGNMENT_CAP the enumerated sum could
+    only fail at them: planar_sum is left to name MOMENT_DP_CAP instead,
+    before any member is enumerated."""
+    if 2 * a.d * m > enumeration_cap:
+        return False
+    ring = _Ring(a, spec, m)
+    if ring.entries <= MOMENT_DP_CAP:
+        return False
+    pairs = _weight_table(_ByValue(spec), ring.n // 2, ring.plain_word)[0].any()
+    return not (pairs and letters ** (a.d * m) > ASSIGNMENT_CAP)
 
 
 def _holo_sum(a: CoefficientFamily, spec: CumulantSpec, m: int) -> complex:
@@ -919,7 +938,7 @@ def _holo_sum(a: CoefficientFamily, spec: CumulantSpec, m: int) -> complex:
         # holomorphic word
         summed = StarCoefficientFamily(a.d, a.r, a.alpha, {
             (key, (False,) * a.d): mat for key, mat in a.entries.items()})
-    if not _enumerate_instead(summed, spec, m, families.STAR_ENUMERATION_CAP):
+    if not _enumerate_instead(summed, spec, m, families.STAR_ENUMERATION_CAP, a.letters):
         return planar_sum(summed, spec, m)
     return _enumerated_sum(a, spec, enumerate_ncstar(GridShape(a.d, m)), holo_word(a.d, m))
 
@@ -1027,7 +1046,7 @@ def _check_adjacent_support(a: CoefficientFamily) -> None:
 
 
 def _nonholo_sum(a, spec: CumulantSpec, m: int) -> complex:
-    if not _enumerate_instead(a, spec, m, families.INTERVAL_ENUMERATION_CAP):
+    if not _enumerate_instead(a, spec, m, families.INTERVAL_ENUMERATION_CAP, a.letters):
         return planar_sum(a, spec, m)
     word = alternating_word if isinstance(a, StarCoefficientFamily) else plain_word
     return _enumerated_sum(a, spec, enumerate_ncdm(GridShape(a.d, m)), word(2 * a.d * m))

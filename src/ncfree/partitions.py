@@ -1,9 +1,14 @@
 """Canonical set partitions of the cyclic ground set {1..n}.
 
 Elements are 1-based and arithmetic on positions is cyclic: position 0 is
-identified with n.  Partitions are stored in a unique canonical form (blocks
-sorted by minimum, elements ascending), so equality and hashing are
-structural.
+identified with n.  A partition is stored in one canonical form, its block
+id tuple: the block index of each position, the blocks numbered by first
+appearance, which is the order of their minima.  Equality and hashing
+compare that tuple.  Every constructor reaches it through one
+canonicalizer, and the blocks (sorted by minimum, elements ascending) are
+derived from it the first time they are read, so code that works on ids
+alone, as enumeration, symmetrization, collapse and absorption do, builds
+no block tuple.
 
 Every non-crossing family in the package comes from one recursion,
 enumerate_nc_constrained: pick the block of the smallest element of a
@@ -42,16 +47,24 @@ def cyclic_index(i: int, n: int) -> int:
 
 
 class Partition:
-    """A set partition of {1..n} in canonical block form.
+    """A set partition of {1..n}, stored as its block ids.
 
-    _block_id lists the block index of each position 1..n.  Code that
-    derives a partition position by position (a symmetrization, a
-    collapse) works on such label lists and builds the partition once,
-    through _from_labels.
+    _block_id lists the block index of each position 1..n, the blocks
+    numbered by first appearance: the one canonical form, which holds what
+    blocks sorted by minimum hold, so equality and hashing compare it.
+    Every constructor goes through one canonicalizer, _from_labels, which
+    numbers any block labels by first appearance; the validating
+    Partition(n, blocks) and _trusted label each position by its block.
+    Code that derives a partition position by position (a symmetrization,
+    a collapse) works on such label lists and builds the partition once.
+    The enumerators and discrete, full and interval_pairing, whose ids are
+    canonical as they are built, store them with no pass (_of_ids).
 
     A partition never changes, so values derived from it may be stored on
-    it the first time they are computed.  Two slots hold such values for
-    ncfree.symmetry, and neither takes part in equality or hashing:
+    it the first time they are computed, and none takes part in equality
+    or hashing.  _blocks holds the blocks, canonical (sorted by minimum,
+    elements ascending), built from the ids the first time blocks is read
+    (None before).  Two slots hold such values for ncfree.symmetry:
     _collapsed is the block count of collapse_pairs(p), set only once p
     has been checked to have even blocks and no crossing (None before);
     _cut_counts maps a cut k in 1..n to that count for symmetrize(p, k),
@@ -59,73 +72,70 @@ class Partition:
     until the first cut is counted).
     """
 
-    __slots__ = ("n", "blocks", "_block_id", "_collapsed", "_cut_counts")
+    __slots__ = ("n", "_block_id", "_blocks", "_collapsed", "_cut_counts")
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
         if n < 1:
             raise ValueError("ground size must be positive, got %r" % (n,))
         canon = sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0] if b else 0)
-        seen = [False] * (n + 1)
-        for b in canon:
+        labels = [None] * n
+        for j, b in enumerate(canon):
             if not b:
                 raise ValueError("empty block")
             for x in b:
                 if not isinstance(x, int) or not 1 <= x <= n:
                     raise ValueError("element %r out of range 1..%d" % (x, n))
-                if seen[x]:
+                if labels[x - 1] is not None:
                     raise ValueError("element %d appears twice" % x)
-                seen[x] = True
-        missing = [x for x in range(1, n + 1) if not seen[x]]
+                labels[x - 1] = j
+        missing = [x for x, label in enumerate(labels, start=1) if label is None]
         if missing:
             raise ValueError("elements missing from partition: %s" % missing)
-        self._fill(n, tuple(canon))
+        self._fill(n, _canonical(labels))
 
-    def _fill(self, n: int, blocks: tuple, block_id: tuple = None) -> None:
-        """Set every slot from canonical blocks and, when the caller has
-        them, their block ids; no stored value yet."""
-        if block_id is None:
-            bid = [0] * n
-            for j, b in enumerate(blocks):
-                for x in b:
-                    bid[x - 1] = j
-            block_id = tuple(bid)
+    def _fill(self, n: int, block_id: tuple) -> None:
+        """Set every slot from canonical block ids; nothing derived yet."""
         self.n = n
-        self.blocks = blocks
         self._block_id = block_id
-        self._collapsed = None
-        self._cut_counts = None
+        self._blocks = self._collapsed = self._cut_counts = None
 
     @classmethod
-    def _trusted(cls, n: int, blocks: tuple, block_id: tuple = None) -> "Partition":
-        """Build from already-canonical blocks, and their block ids when the
-        caller has them, skipping validation."""
+    def _of_ids(cls, n: int, block_id: tuple) -> "Partition":
+        """Build from block ids already numbered by first appearance."""
         p = object.__new__(cls)
-        p._fill(n, blocks, block_id)
+        p._fill(n, block_id)
         return p
+
+    @classmethod
+    def _trusted(cls, n: int, blocks: tuple) -> "Partition":
+        """Build from the blocks of a partition of {1..n}, skipping
+        validation."""
+        labels = [0] * n
+        for j, b in enumerate(blocks):
+            for x in b:
+                labels[x - 1] = j
+        return cls._from_labels(n, labels)
 
     @classmethod
     def _from_labels(cls, n: int, labels) -> "Partition":
         """Build from the block labels of positions 1..n (any hashable
-        values, one block per distinct label), skipping validation.
+        values, one block per distinct label), skipping validation: the
+        canonicalizer, numbering the labels by first appearance."""
+        return cls._of_ids(n, _canonical(labels))
 
-        Numbering the labels by first appearance gives the canonical block
-        order, and each block fills in ascending order, so blocks and block
-        ids come out of one pass with no sort.
-        """
-        number = {}
-        blocks = []
-        bid = []
-        for x, label in enumerate(labels, start=1):
-            j = number.get(label)
-            if j is None:
-                j = number[label] = len(blocks)
-                blocks.append([x])
-            else:
-                blocks[j].append(x)
-            bid.append(j)
-        p = object.__new__(cls)
-        p._fill(n, tuple(map(tuple, blocks)), tuple(bid))
-        return p
+    @property
+    def blocks(self) -> tuple:
+        """The blocks sorted by minimum, each ascending; built from the ids
+        the first time they are read, then kept."""
+        if self._blocks is None:
+            self._blocks = self._build_blocks()
+        return self._blocks
+
+    def _build_blocks(self) -> tuple:
+        blocks = [[] for _ in range(self.num_blocks)]
+        for x, j in enumerate(self._block_id, start=1):
+            blocks[j].append(x)
+        return tuple(map(tuple, blocks))
 
     def block_id(self, i: int) -> int:
         return self._block_id[i - 1]
@@ -139,23 +149,25 @@ class Partition:
 
     @property
     def num_blocks(self) -> int:
-        return len(self.blocks)
+        return max(self._block_id) + 1
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Partition)
-            and self.n == other.n
-            and self.blocks == other.blocks
-        )
+        return isinstance(other, Partition) and self._block_id == other._block_id
 
     def __hash__(self) -> int:
-        return hash((self.n, self.blocks))
+        return hash(self._block_id)
 
     def __repr__(self) -> str:
         return "Partition(%d, %r)" % (self.n, [list(b) for b in self.blocks])
 
     def __str__(self) -> str:
         return format_partition(self)
+
+
+def _canonical(labels) -> tuple:
+    """Block labels renumbered 0, 1, .. by first appearance."""
+    number = {}
+    return tuple([number.setdefault(label, len(number)) for label in labels])
 
 
 def parse_partition(text: str, n: int) -> Partition:
@@ -179,24 +191,22 @@ def format_partition(p: Partition) -> str:
 
 def discrete(n: int) -> Partition:
     """The all-singletons partition of {1..n}."""
-    return Partition._trusted(n, tuple((i,) for i in range(1, n + 1)))
+    return Partition._of_ids(n, tuple(range(n)))
 
 
 def full(n: int) -> Partition:
     """The one-block partition of {1..n}."""
-    return Partition._trusted(n, (tuple(range(1, n + 1)),))
+    return Partition._of_ids(n, (0,) * n)
 
 
 def interval_pairing(m: int) -> Partition:
     """The pairing {2j-1, 2j} of {1..2m}."""
-    return Partition._trusted(2 * m, tuple((2 * j - 1, 2 * j) for j in range(1, m + 1)))
+    return Partition._of_ids(2 * m, tuple(x // 2 for x in range(2 * m)))
 
 
 def shifted_pairing(m: int) -> Partition:
     """The pairing {2j, 2j+1} of {1..2m}, cyclically (so {2m, 1} is a block)."""
-    n = 2 * m
-    blocks = [(cyclic_index(2 * j, n), cyclic_index(2 * j + 1, n)) for j in range(1, m + 1)]
-    return Partition(n, blocks)
+    return Partition._from_labels(2 * m, [x // 2 % m for x in range(1, 2 * m + 1)])
 
 
 def is_noncrossing(p: Partition) -> bool:
@@ -242,29 +252,29 @@ def enumerate_nc_constrained(n: int, extend_ok, complete_ok) -> Iterator[Partiti
     functions of (block, cand) and of (block).  The whole ground set is a
     segment only at the top, and its choices are not stored.
 
-    A block chosen at stack depth j is block j of every member below it, so
-    its positions are written j in one list of block ids as it is chosen;
-    each member's ids are then a copy of that list, with no pass over its
-    blocks.
+    A block chosen at stack depth j is block j of every member below it,
+    and the blocks come out in the order of their minima, so its positions
+    are written j in one list of block ids as it is chosen, and the stack
+    keeps only the block count j.  Each member is built from a copy of
+    that list alone, which is already canonical: no block tuple is built.
     """
     table = {}
     bid = [0] * n
-    stack = [(_segment_choices(1, n, extend_ok, complete_ok), (), ())]
+    stack = [(_segment_choices(1, n, extend_ok, complete_ok), (), 0)]
     while stack:
-        choices, later, acc = stack[-1]
-        j = len(acc)
+        choices, later, j = stack[-1]
         for block, gaps in choices:
             for x in block:
                 bid[x - 1] = j
             segments = gaps + later
             if not segments:
-                yield Partition._trusted(n, acc + (block,), tuple(bid))
+                yield Partition._of_ids(n, tuple(bid))
                 continue
             segment = segments[0]
             inner = table.get(segment)
             if inner is None:
                 inner = table[segment] = list(_segment_choices(*segment, extend_ok, complete_ok))
-            stack.append((iter(inner), segments[1:], acc + (block,)))
+            stack.append((iter(inner), segments[1:], j + 1))
             break
         else:
             stack.pop()

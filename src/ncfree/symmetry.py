@@ -8,7 +8,10 @@ into a small family of fully symmetric terminal partitions; the block count
 of the pair-collapsed partition is conserved on average, which yields exact
 absorption probabilities for the induced Markov chain.
 
-The symmetry layer works on block-label lists (Partition._block_id).  The
+The symmetry layer works on block-label lists (Partition._block_id, the
+one form a partition stores) and block counts (num_blocks), and builds a
+block tuple only to name invalid input: the terminal partitions too are
+built from labels.  The
 labels of a symmetrization come from those of p over the half ending at
 the cut, a block wholly inside that half taking a second label for its
 mirror copy (_mirror_labels); symmetrize builds the canonical partition
@@ -28,7 +31,9 @@ distribution of every state it has solved.
 Absorption probabilities come from Gauss-Jordan elimination of the
 chain's equations, scaled to integers, on sparse rows over Python
 integers (each row kept divided by the gcd of its entries), so they are
-exact Fractions without Fraction arithmetic in the solve.  A state solved
+exact Fractions without Fraction arithmetic in the solve.  The states are
+eliminated in the order of their block-id tuples; the solution is unique,
+so the order changes no Fraction.  A state solved
 by an earlier call on the same grid is not explored or eliminated again:
 its distribution enters the equations of the states that reach it as a
 known value.
@@ -153,7 +158,7 @@ def _mirror_labels(p: Partition, k: int) -> list:
     ids = p._block_id * 2
     kept = list(ids[c - half:c])
     meets_other = set(ids[c:c + half])
-    nb = len(p.blocks)
+    nb = p.num_blocks
     labels = kept + [b if b in meets_other else b + nb for b in reversed(kept)]
     start = n - (c - half) % n  # labels[0] is position c - half
     return labels[start:] + labels[:start]
@@ -203,11 +208,11 @@ def glued_level_terminal(g: GridShape, l: int) -> Partition:
 def _by_label(g: GridShape, pattern_of) -> Partition:
     """The partition carrying pattern_of(i), a partition of {1..2m}, on the
     positions of label class i, for every label i."""
-    blocks = []
+    labels = [None] * g.n
     for i in range(1, g.d + 1):
-        positions = g.label_class(i)
-        blocks.extend([tuple(positions[x - 1] for x in b) for b in pattern_of(i).blocks])
-    return Partition(g.n, blocks)
+        for x, j in zip(g.label_class(i), pattern_of(i)._block_id):
+            labels[x - 1] = (i, j)
+    return Partition._from_labels(g.n, labels)
 
 
 def terminal_partitions(g: GridShape) -> Dict[TerminalKind, Partition]:
@@ -346,7 +351,7 @@ def _half_count(p: Partition, k: int):
     ids = p._block_id * 2
     word = ids[c - half:c]
     outer = set(ids[c:c + half])
-    size = len(p.blocks)
+    size = p.num_blocks
     seen = [0] * size  # id -> appearances in W, negated once its block is closed
     parent = list(range(size))
     stack = []
@@ -469,8 +474,8 @@ def absorption_probabilities(p: Partition, g: GridShape) -> Dict[TerminalKind, F
 
 def _absorption_system(p: Partition, g: GridShape, terminal_lookup: dict,
                        kinds: list, solved: dict = None) -> tuple:
-    """The states reachable from p that are to be solved, sorted, and their
-    equations.
+    """The states reachable from p that are to be solved, sorted by their
+    block-id tuples, and their equations.
 
     solved maps states whose distributions are known to them (tuples over
     kinds); the search stops there as it does at terminals.  Row s is a
@@ -495,7 +500,7 @@ def _absorption_system(p: Partition, g: GridShape, terminal_lookup: dict,
             raise ValueError("reachable state graph exceeds cap %d" % ABSORPTION_STATE_CAP)
         frontier.extend(img for img in images if img not in succ)
 
-    states = sorted(succ, key=format_partition)
+    states = sorted(succ, key=lambda s: s._block_id)
     nstates = len(states)
     column = {s: i for i, s in enumerate(states)}
     for part, kind in terminal_lookup.items():
