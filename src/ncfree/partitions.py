@@ -57,8 +57,9 @@ class Partition:
     Partition(n, blocks) and _trusted label each position by its block.
     Code that derives a partition position by position (a symmetrization,
     a collapse) works on such label lists and builds the partition once.
-    The enumerators and discrete, full and interval_pairing, whose ids are
-    canonical as they are built, store them with no pass (_of_ids).
+    Only enumerate_nc_constrained, whose ids come out canonical, stores
+    them with no pass (_of_ids): numbering each member's ids again would
+    more than double the time of NC(n).
 
     A partition never changes, so values derived from it may be stored on
     it the first time they are computed, and none takes part in equality
@@ -191,17 +192,17 @@ def format_partition(p: Partition) -> str:
 
 def discrete(n: int) -> Partition:
     """The all-singletons partition of {1..n}."""
-    return Partition._of_ids(n, tuple(range(n)))
+    return Partition._from_labels(n, range(n))
 
 
 def full(n: int) -> Partition:
     """The one-block partition of {1..n}."""
-    return Partition._of_ids(n, (0,) * n)
+    return Partition._from_labels(n, [0] * n)
 
 
 def interval_pairing(m: int) -> Partition:
     """The pairing {2j-1, 2j} of {1..2m}."""
-    return Partition._of_ids(2 * m, tuple(x // 2 for x in range(2 * m)))
+    return Partition._from_labels(2 * m, [x // 2 for x in range(2 * m)])
 
 
 def shifted_pairing(m: int) -> Partition:
