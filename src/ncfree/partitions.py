@@ -5,10 +5,11 @@ identified with n.  A partition is stored in one canonical form, its block
 id tuple: the block index of each position, the blocks numbered by first
 appearance, which is the order of their minima.  Equality and hashing
 compare that tuple.  Every constructor reaches it through one
-canonicalizer, and the blocks (sorted by minimum, elements ascending) are
-derived from it the first time they are read, so code that works on ids
-alone, as enumeration, symmetrization, collapse and absorption do, builds
-no block tuple.
+canonicalizer, save the recursion below, whose ids come out canonical.
+The blocks (sorted by minimum, elements ascending) are derived from the
+ids the first time they are read, so code that works on ids alone, as
+enumeration, symmetrization, collapse and absorption do, builds no block
+tuple.
 
 Every non-crossing family in the package comes from one recursion,
 enumerate_nc_constrained: pick the block of the smallest element of a

@@ -11,13 +11,12 @@ absorption probabilities for the induced Markov chain.
 The symmetry layer works on block-label lists (Partition._block_id, the
 one form a partition stores) and block counts (num_blocks), and builds a
 block tuple only to name invalid input: the terminal partitions too are
-built from labels.  The
-labels of a symmetrization come from those of p over the half ending at
-the cut, a block wholly inside that half taking a second label for its
-mirror copy (_mirror_labels); symmetrize builds the canonical partition
-from them in one pass.  One scan of a label list checks that every block
-is even and that no two blocks cross, and counts the blocks of the
-pair-collapsed partition with a union-find over the labels
+built from labels.  The labels of a symmetrization come from those of p
+over the half ending at the cut, a block wholly inside that half taking a
+second label for its mirror copy (_mirror_labels); symmetrize builds the
+canonical partition from them in one pass.  One scan of a label list checks
+that every block is even and that no two blocks cross, and counts the
+blocks of the pair-collapsed partition with a union-find over the labels
 (partitions._label_scan).  A cut's symmetrization is counted without its
 label list, in one pass over the n/2 block ids of p over the half ending
 at the cut (_half_count); its mirror labels are scanned in full only to
@@ -28,15 +27,14 @@ reads each cut's half once and builds no symmetrization.  Each grid builds
 its terminal partitions once and keeps them, and keeps the absorption
 distribution of every state it has solved.
 
-Absorption probabilities come from Gauss-Jordan elimination of the
-chain's equations, scaled to integers, on sparse rows over Python
-integers (each row kept divided by the gcd of its entries), so they are
-exact Fractions without Fraction arithmetic in the solve.  The states are
-eliminated in the order of their block-id tuples; the solution is unique,
-so the order changes no Fraction.  A state solved
-by an earlier call on the same grid is not explored or eliminated again:
-its distribution enters the equations of the states that reach it as a
-known value.
+Absorption probabilities come from Gauss-Jordan elimination of the chain's
+equations, scaled to integers, on sparse rows over Python integers (each
+row kept divided by the gcd of its entries), so they are exact Fractions
+without Fraction arithmetic in the solve.  The states are eliminated in the
+order of their block-id tuples; the solution is unique, so the order
+changes no Fraction.  A state solved by an earlier call on the same grid is
+not explored or eliminated again: its distribution enters the equations of
+the states that reach it as a known value.
 """
 
 from __future__ import annotations
